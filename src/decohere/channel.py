@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidPartitionError, InvalidSizeError
-from .linalg import DensityMatrix, QubitSubset, kron, norm_check, partial_trace
+from .linalg import DensityMatrix, QubitSubset, _qubit_view, kron, norm_check, partial_trace
 from .tolerances import DEFAULT, Tolerances
 
 TWO_PI = 2.0 * np.pi
@@ -90,21 +90,21 @@ class AggregateDephasing:
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=np.float64)
-        phase = (
-            np.zeros_like(gamma)
-            if self.phase is None
-            else np.asarray(self.phase, dtype=np.float64) % TWO_PI
-        )
+        phase = np.zeros_like(gamma) if self.phase is None else self.phase
+        phase = np.asarray(phase, dtype=np.float64)
         if gamma.ndim != 1:
             raise InvalidSizeError("gamma must be a 1-D array")
         if phase.shape != gamma.shape:
             raise InvalidSizeError(
                 f"phase shape {phase.shape} does not match gamma shape {gamma.shape}"
             )
-        if gamma.size and (gamma.min() < 0.0 or gamma.max() > 1.0):
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not np.all((gamma >= 0.0) & (gamma <= 1.0)):
             raise ValueError("gamma values must lie in [0, 1]")
+        if not np.isfinite(phase).all():
+            raise ValueError("phase values must be finite")
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "phase", phase % TWO_PI)
 
     @property
     def n_qubits(self) -> int:
@@ -221,13 +221,11 @@ def apply_microscopic_collision(
         raise InvalidPartitionError(f"qubit {qubit} outside 1..{n}")
 
     full = kron(rho.mat, spec.xi.mat)  # raises CapacityError if n+1 too large
-    tensor = full.reshape((2,) * (2 * (n + 1)))
+    # The environment is qubit n+1 of the joint register.
+    tensor, axes = _qubit_view(full, n + 1)
+    (sys_row, sys_col), (env_row, env_col) = axes[qubit], axes[n + 1]
 
-    # Axis layout: row axes 0..n (system qubits 1..n then environment),
-    # column axes n+1..2n+1 in the same order.
     u4 = build_collision_unitary(spec).reshape(2, 2, 2, 2)
-    sys_row, env_row = qubit - 1, n
-    sys_col, env_col = n + 1 + sys_row, n + 1 + env_row
 
     tensor = np.tensordot(u4, tensor, axes=([2, 3], [sys_row, env_row]))
     tensor = np.moveaxis(tensor, [0, 1], [sys_row, env_row])
@@ -238,30 +236,29 @@ def apply_microscopic_collision(
     return partial_trace(evolved, QubitSubset(n + 1, frozenset({n + 1})))
 
 
-def dephasing_factors(n_qubits: int, agg: AggregateDephasing) -> np.ndarray:
-    """The entrywise factor matrix the aggregated channel multiplies in.
+def apply_dephasing(rho: DensityMatrix, agg: AggregateDephasing) -> DensityMatrix:
+    """The reduced channel: populations kept, coherences shrunk and rotated.
 
-    Entry (r, c) is the product over qubits of 1 (bits agree) or
-    ``gamma_i * exp(-i * Phi_i * (bit_r - bit_c))`` (bits differ). Each
-    per-qubit factor matrix is positive semidefinite (eigenvalues 1 +- gamma
-    on its 2x2 core), so the full Schur-product factor is too — which is why
+    Entry (r, c) of rho is multiplied by the product over qubits of 1 (bits
+    agree) or ``gamma_i * exp(-i * Phi_i * (bit_r - bit_c))`` (bits differ).
+    Each qubit's 2x2 factor sits on its axis pair of the tensor view; the
+    factors are multiplied together in qubit order 1..n, by broadcasting,
+    before the result touches rho. Each 2x2 factor is positive semidefinite
+    (eigenvalues 1 +- gamma), so their Schur product is too, which is why
     dephasing preserves positivity.
     """
-    dim = 2**n_qubits
-    idx = np.arange(dim)
-    factors = np.ones((dim, dim), dtype=np.complex128)
-    for i in range(n_qubits):
-        bit = (idx >> (n_qubits - 1 - i)) & 1
-        diff = bit[:, None] - bit[None, :]
-        g, ph = agg.gamma[i], agg.phase[i]
-        factors *= np.where(diff == 0, 1.0, g * np.exp(-1j * ph * diff))
-    return factors
-
-
-def apply_dephasing(rho: DensityMatrix, agg: AggregateDephasing) -> DensityMatrix:
-    """The reduced channel: populations kept, coherences shrunk and rotated."""
-    if agg.n_qubits != rho.n_qubits:
-        raise InvalidSizeError(
-            f"aggregate covers {agg.n_qubits} qubits, state has {rho.n_qubits}"
-        )
-    return DensityMatrix(rho.n_qubits, rho.mat * dephasing_factors(rho.n_qubits, agg))
+    n = rho.n_qubits
+    if agg.n_qubits != n:
+        raise InvalidSizeError(f"aggregate covers {agg.n_qubits} qubits, state has {n}")
+    tensor, axes = _qubit_view(rho.mat, n)
+    diff = np.array([[0, -1], [1, 0]])  # bit_r - bit_c
+    factor = np.ones((1,) * (2 * n), dtype=np.complex128)
+    for q, (g, ph) in enumerate(zip(agg.gamma, agg.phase), start=1):
+        shape = [1] * (2 * n)
+        for axis in axes[q]:
+            shape[axis] = 2
+        factor = factor * np.where(diff == 0, 1.0, g * np.exp(-1j * ph * diff)).reshape(shape)
+    mat = (tensor * factor).reshape(rho.dim, rho.dim)
+    # Free the dim x dim factor before validation allocates its temporaries.
+    del factor
+    return DensityMatrix(n, mat)

@@ -153,7 +153,13 @@ def _as_int(value, where: str) -> int:
 def _as_real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer past the float range
+        out = float("inf")
+    if not np.isfinite(out):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return out
 
 
 def _parse_schedule(data, n_qubits: int):

@@ -5,6 +5,9 @@ Conventions used everywhere in this package:
 * Qubit indices are 1-based. Qubit 1 is the *most significant* bit of a
   computational-basis index, so for three qubits the basis ket ``|q1 q2 q3>``
   has index ``q1*4 + q2*2 + q3``.
+* Operations on single qubits of a matrix work on its tensor view of rank
+  2n (one length-2 axis per qubit per index) from ``_qubit_view``: qubit q
+  sits on axes ``(q-1, n+q-1)``, its row and its column.
 * Matrices are plain ``numpy`` complex128 arrays; state vectors are 1-D
   arrays of length ``2**n``.
 
@@ -40,9 +43,7 @@ def _as_complex(a) -> np.ndarray:
 class QubitSubset:
     """A subset of the qubits of an ``n_qubits`` register.
 
-    ``members`` holds 1-based qubit indices. The subset knows how to express
-    itself as a bitmask over basis-state indices (qubit 1 = most significant
-    bit), which is what the partial trace and partial transpose consume.
+    ``members`` holds 1-based qubit indices.
     """
 
     n_qubits: int
@@ -57,14 +58,6 @@ class QubitSubset:
             raise InvalidPartitionError(
                 f"qubit indices {sorted(bad)} outside 1..{self.n_qubits}"
             )
-
-    @property
-    def basis_mask(self) -> int:
-        """Bitmask over basis indices with a set bit for each member qubit."""
-        mask = 0
-        for q in self.members:
-            mask |= 1 << (self.n_qubits - q)
-        return mask
 
     def complement(self) -> "QubitSubset":
         rest = frozenset(range(1, self.n_qubits + 1)) - self.members
@@ -102,11 +95,7 @@ class DensityMatrix:
             raise CapacityError(
                 f"{n_qubits} qubits exceeds the dense capacity of {MAX_QUBITS}"
             )
-        herm_defect = np.abs(mat - mat.conj().T).max()
-        if herm_defect > tol.hermiticity:
-            raise SymmetryViolationError(
-                f"density matrix is not Hermitian: max |A - A^dag| = {herm_defect:.3e}"
-            )
+        require_hermitian(mat, tol.hermiticity)
         tr = mat.trace()
         if abs(tr - 1.0) > tol.trace:
             raise NormalizationError(f"density matrix trace {tr} differs from 1")
@@ -154,12 +143,24 @@ def require_hermitian(a: np.ndarray, bound: float) -> None:
         )
 
 
+def _qubit_view(a: np.ndarray, n_qubits: int) -> tuple[np.ndarray, dict[int, tuple[int, ...]]]:
+    """View a ket or a square matrix over ``n_qubits`` qubits as a tensor with
+    one length-2 axis per qubit per index, and name each qubit's axes.
+
+    Each flat index splits into its bits, qubit 1 the most significant, so
+    qubit q owns axis q-1 of a ket and axes (q-1, n+q-1), its row and its
+    column, of a matrix. Returns the view and ``{q: axes of qubit q}``.
+    """
+    n = n_qubits
+    axes = {q: tuple(k * n + q - 1 for k in range(a.ndim)) for q in range(1, n + 1)}
+    return a.reshape((2,) * (a.ndim * n)), axes
+
+
 def partial_trace(rho: DensityMatrix, traced: QubitSubset) -> DensityMatrix:
     """Trace out the qubits in ``traced``, keeping the rest in original order.
 
-    Works by viewing the matrix as a rank-2n tensor (one row axis and one
-    column axis per qubit) and contracting the row/column axis pairs of the
-    traced qubits in a single einsum.
+    Contracts the row/column axis pair of each traced qubit on the tensor
+    view in a single einsum.
     """
     n = rho.n_qubits
     if traced.n_qubits != n:
@@ -169,14 +170,15 @@ def partial_trace(rho: DensityMatrix, traced: QubitSubset) -> DensityMatrix:
     if not traced.members or len(traced.members) == n:
         raise InvalidPartitionError("traced set must be a nonempty proper subset")
 
-    tensor = rho.mat.reshape((2,) * (2 * n))
-    # Row axis of qubit q is q-1, column axis is n+q-1. Tying a pair of
-    # subscripts together in einsum sums over that qubit's diagonal.
+    tensor, axes = _qubit_view(rho.mat, n)
+    # Tying a qubit's column subscript to its row subscript sums over that
+    # qubit's diagonal.
     subscripts = list(range(2 * n))
     for q in traced.members:
-        subscripts[n + q - 1] = subscripts[q - 1]
-    kept = [q for q in range(1, n + 1) if q not in traced.members]
-    out_subscripts = [q - 1 for q in kept] + [n + q - 1 for q in kept]
+        row, col = axes[q]
+        subscripts[col] = row
+    kept = [axes[q] for q in range(1, n + 1) if q not in traced.members]
+    out_subscripts = [row for row, _ in kept] + [col for _, col in kept]
     reduced = np.einsum(tensor, subscripts, out_subscripts)
 
     m = len(kept)
@@ -186,8 +188,10 @@ def partial_trace(rho: DensityMatrix, traced: QubitSubset) -> DensityMatrix:
 def partial_transpose(rho: DensityMatrix, transposed: QubitSubset) -> np.ndarray:
     """Transpose only the indices of the given qubits.
 
-    Entry ``(r, c)`` of the result is taken from ``(r', c')`` where the bits
-    of ``r`` and ``c`` on the transposed qubits are swapped. The output stays
+    Swaps the row and column axes of each transposed qubit on the tensor
+    view, so entry ``(r, c)`` of the result is taken from ``(r', c')`` where
+    the bits of ``r`` and ``c`` on the transposed qubits are swapped. The
+    result is a new array, never a view of ``rho``. The output stays
     Hermitian but is generally not positive — its negative eigenvalues are
     the entanglement witnesses everything downstream consumes.
     """
@@ -199,13 +203,12 @@ def partial_transpose(rho: DensityMatrix, transposed: QubitSubset) -> np.ndarray
     if not transposed.members or len(transposed.members) == n:
         raise InvalidPartitionError("transposed set must be a nonempty proper subset")
 
-    mask = transposed.basis_mask
-    idx = np.arange(rho.dim)
-    rows = idx[:, None]
-    cols = idx[None, :]
-    src_rows = (rows & ~mask) | (cols & mask)
-    src_cols = (cols & ~mask) | (rows & mask)
-    return rho.mat[src_rows, src_cols]
+    tensor, axes = _qubit_view(rho.mat, n)
+    order = list(range(2 * n))
+    for q in transposed.members:
+        row, col = axes[q]
+        order[row], order[col] = col, row
+    return tensor.transpose(order).reshape(rho.dim, rho.dim)
 
 
 def hermitian_eigenvalues(a, tol: Tolerances = DEFAULT) -> np.ndarray:

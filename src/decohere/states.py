@@ -46,18 +46,9 @@ class StateFamily:
             )
 
 
-def _check_n(n: int) -> int:
-    n = int(n)
-    if n < 2:
-        raise InvalidSizeError(f"need at least 2 qubits, got {n}")
-    if n > MAX_QUBITS:
-        raise CapacityError(f"{n} qubits exceeds the dense capacity of {MAX_QUBITS}")
-    return n
-
-
 def make_ghz(n: int) -> np.ndarray:
     """(|0...0> + |1...1>)/sqrt(2)."""
-    n = _check_n(n)
+    n = StateFamily(Family.GHZ, int(n)).n_qubits
     psi = np.zeros(2**n, dtype=np.complex128)
     psi[0] = psi[-1] = 1.0 / np.sqrt(2.0)
     return psi
@@ -65,7 +56,7 @@ def make_ghz(n: int) -> np.ndarray:
 
 def make_w(n: int) -> np.ndarray:
     """Equal superposition of all weight-1 basis kets, 1/sqrt(n) each."""
-    n = _check_n(n)
+    n = StateFamily(Family.W, int(n)).n_qubits
     psi = np.zeros(2**n, dtype=np.complex128)
     for q in range(n):
         psi[1 << q] = 1.0 / np.sqrt(n)
@@ -80,7 +71,7 @@ def make_cluster(n: int) -> np.ndarray:
     adjacency maps to bit adjacency under the MSB-first convention, so
     ``b & (b >> 1)`` marks exactly the adjacent pairs.
     """
-    n = _check_n(n)
+    n = StateFamily(Family.CLUSTER, int(n)).n_qubits
     scale = 2.0 ** (-n / 2.0)
     psi = np.empty(2**n, dtype=np.complex128)
     for b in range(2**n):

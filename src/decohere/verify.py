@@ -34,6 +34,7 @@ from .channel import (
 from .linalg import (
     DensityMatrix,
     QubitSubset,
+    _qubit_view,
     dagger,
     hermitian_eigenvalues,
     kron,
@@ -167,15 +168,6 @@ def check_partial_trace_preserves_trace(max_n: int, rng: np.random.Generator) ->
     return PropertyResult("partial_trace_preserves_trace", worst <= 1e-12, worst, 1e-12)
 
 
-def _pt_raw(mat: np.ndarray, subset: QubitSubset) -> np.ndarray:
-    """Partial transpose of a bare matrix (second application in the
-    involution test, where the intermediate is not a density matrix)."""
-    mask = subset.basis_mask
-    idx = np.arange(mat.shape[0])
-    rows, cols = idx[:, None], idx[None, :]
-    return mat[(rows & ~mask) | (cols & mask), (cols & ~mask) | (rows & mask)]
-
-
 def check_partial_transpose_involution(max_n: int, rng: np.random.Generator) -> PropertyResult:
     """PT twice is the identity; PT once keeps Hermiticity and trace."""
     worst = 0.0
@@ -184,7 +176,9 @@ def check_partial_transpose_involution(max_n: int, rng: np.random.Generator) -> 
             rho = random_density(rng, n)
             cut = random_cut(rng, n)
             pt = partial_transpose(rho, cut.p1)
-            worst = max(worst, np.abs(_pt_raw(pt, cut.p1) - rho.mat).max())
+            # A PT of a density matrix is Hermitian with unit trace, so it validates.
+            twice = partial_transpose(DensityMatrix(n, pt), cut.p1)
+            worst = max(worst, np.abs(twice - rho.mat).max())
             worst = max(worst, np.abs(pt - pt.conj().T).max())
             worst = max(worst, abs(pt.trace() - rho.mat.trace()))
     return PropertyResult("partial_transpose_involution", worst <= 1e-14, worst, 1e-14)
@@ -247,23 +241,17 @@ def check_state_normalization(max_n: int, rng: np.random.Generator) -> PropertyR
     return PropertyResult("state_normalization", worst <= 1e-12, worst, 1e-12)
 
 
-def _swap_qubit_bits(idx: np.ndarray, n: int, qa: int, qb: int) -> np.ndarray:
-    ba = (idx >> (n - qa)) & 1
-    bb = (idx >> (n - qb)) & 1
-    out = idx & ~((1 << (n - qa)) | (1 << (n - qb)))
-    return out | (ba << (n - qb)) | (bb << (n - qa))
-
-
 def check_permutation_symmetry(max_n: int, rng: np.random.Generator) -> PropertyResult:
     """GHZ and W density matrices are invariant under any qubit swap."""
     worst = 0.0
     for n in range(2, max_n + 1):
-        idx = np.arange(2**n)
         for psi in (make_ghz(n), make_w(n)):
-            rho = np.outer(psi, psi.conj())
+            tensor, axes = _qubit_view(np.outer(psi, psi.conj()), n)
             for qa, qb in itertools.combinations(range(1, n + 1), 2):
-                perm = _swap_qubit_bits(idx, n, qa, qb)
-                worst = max(worst, np.abs(rho[np.ix_(perm, perm)] - rho).max())
+                order = list(range(2 * n))
+                for a, b in zip(axes[qa], axes[qb]):
+                    order[a], order[b] = b, a
+                worst = max(worst, np.abs(tensor.transpose(order) - tensor).max())
     return PropertyResult("ghz_w_permutation_symmetry", worst == 0.0, worst, 0.0)
 
 
@@ -271,12 +259,13 @@ def check_cluster_against_cz_chain(max_n: int, rng: np.random.Generator) -> Prop
     """The closed-form amplitudes match gate-by-gate CZ application to |+>^n."""
     worst = 0.0
     for n in range(2, max_n + 1):
-        dim = 2**n
-        idx = np.arange(dim)
-        psi = np.full(dim, 2.0 ** (-n / 2.0), dtype=np.complex128)
+        psi = np.full(2**n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+        tensor, axes = _qubit_view(psi, n)
         for q in range(1, n):
-            both_one = ((idx >> (n - q)) & 1) & ((idx >> (n - q - 1)) & 1)
-            psi = psi * np.where(both_one == 1, -1.0, 1.0)
+            # CZ on qubits (q, q+1) flips the sign where both are 1.
+            index = [slice(None)] * n
+            index[axes[q][0]] = index[axes[q + 1][0]] = 1
+            tensor[tuple(index)] *= -1.0
         worst = max(worst, np.abs(psi - make_cluster(n)).max())
         worst = max(worst, np.abs(np.abs(make_cluster(n)) - 2.0 ** (-n / 2.0)).max())
     return PropertyResult("cluster_matches_cz_chain", worst <= 1e-15, worst, 1e-15)

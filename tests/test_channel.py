@@ -22,11 +22,27 @@ from decohere import (
     schedule_aggregate,
     to_density,
 )
-from decohere.verify import random_density, random_ket, random_micro_spec
+from decohere.verify import random_aggregate, random_density, random_ket, random_micro_spec
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 MIXED = DensityMatrix(1, np.eye(2, dtype=complex) / 2)
+
+
+def dephasing_reference(mat, agg):
+    """Dephasing by a dense dim x dim factor per qubit, built from flat-index
+    bits (qubit 1 the most significant) and multiplied together in qubit
+    order before it touches ``mat``. The tensor-view kernel must reproduce
+    it bit for bit."""
+    n = agg.n_qubits
+    idx = np.arange(2**n)
+    factors = np.ones(mat.shape, dtype=np.complex128)
+    for i in range(n):
+        bit = (idx >> (n - 1 - i)) & 1
+        diff = bit[:, None] - bit[None, :]
+        g, ph = agg.gamma[i], agg.phase[i]
+        factors *= np.where(diff == 0, 1.0, g * np.exp(-1j * ph * diff))
+    return mat * factors
 
 
 def pauli_axis_spec(theta, phi):
@@ -230,6 +246,17 @@ class TestAggregateDephasing:
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError):
             AggregateDephasing(np.array([0.5, 1.2]), np.zeros(2))
+        with pytest.raises(ValueError):
+            AggregateDephasing(np.array([np.nan]))
+        with pytest.raises(ValueError):
+            AggregateDephasing(np.array([0.5]), np.array([np.inf]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10])
+    def test_matches_dense_factor_reference(self, n):
+        rng = np.random.default_rng(n)
+        rho = random_density(rng, n)
+        agg = random_aggregate(rng, n)
+        assert np.array_equal(apply_dephasing(rho, agg).mat, dephasing_reference(rho.mat, agg))
 
 
 class TestSchedules:

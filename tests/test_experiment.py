@@ -1,6 +1,7 @@
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from decohere.experiment import (
 )
 
 SQRT2 = np.sqrt(2.0)
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def base_config(**overrides):
@@ -83,6 +85,9 @@ class TestParsing:
             {"cuts": "some"},
             {"extra_field": 1},
             {"schedule": {"K": 2, "lambda": 0.9, "mu": 1}},
+            {"schedule": {"K": 2, "lambda": 0.9, "phi": float("nan")}},
+            {"schedule": {"gammas": [0.5] * 3, "phis": [0.1, float("inf"), 0.2]}},
+            {"schedule": {"K": 2, "lambda": 0.9, "phi": 10**400}},
         ],
     )
     def test_rejects_malformed(self, mangle):
@@ -327,6 +332,19 @@ class TestCSV:
         assert csv_text(run_sweep(config)) == csv_text(run_sweep(config))
 
 
+class TestGoldenCSV:
+    """Stored `decohere single` output, produced once by an earlier release.
+
+    Refactors of the numerical kernels must reproduce these bytes exactly;
+    never regenerate the CSVs from the code under test.
+    """
+
+    @pytest.mark.parametrize("name", ["ghz4", "w4", "cluster4", "cluster8", "w10"])
+    def test_rows_byte_identical(self, name):
+        expected = (GOLDEN / f"{name}.csv").read_bytes().decode()
+        assert csv_text(run_single(load_config(str(GOLDEN / f"{name}.yaml")))) == expected
+
+
 class TestCLI:
     def run_cli(self, *args, cwd=None):
         return subprocess.run(
@@ -376,6 +394,15 @@ class TestCLI:
         proc = self.run_cli("single", "--config", path)
         assert proc.returncode == 2
         assert "lambda" in proc.stderr
+
+    def test_non_finite_phase_exits_2(self, tmp_path):
+        path = self.write_yaml(
+            tmp_path,
+            "family: ghz\nn_qubits: 2\nschedule:\n  K: 1\n  lambda: 0.9\n  phi: .nan\n",
+        )
+        proc = self.run_cli("single", "--config", path)
+        assert proc.returncode == 2
+        assert "decohere: schedule.phi" in proc.stderr
 
     def test_missing_config_file_exits_2(self, tmp_path):
         proc = self.run_cli("single", "--config", str(tmp_path / "absent.yaml"))

@@ -10,13 +10,15 @@ from decohere import (
     NormalizationError,
     QubitSubset,
     SymmetryViolationError,
+    apply_dephasing,
     dagger,
+    enumerate_cuts,
     hermitian_eigenvalues,
     kron,
     partial_trace,
     partial_transpose,
 )
-from decohere.verify import random_density
+from decohere.verify import random_aggregate, random_density
 
 I2 = np.eye(2)
 P0 = np.diag([1.0, 0.0])
@@ -24,6 +26,21 @@ P1 = np.diag([0.0, 1.0])
 S_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
 S_MINUS = S_PLUS.T.copy()
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def pt_reference(mat, n, members):
+    """Partial transpose by swapping flat-index bits between row and column
+    (qubit 1 the most significant bit). The tensor-view kernel must
+    reproduce it exactly."""
+    mask = sum(1 << (n - q) for q in members)
+    idx = np.arange(2**n)
+    rows, cols = idx[:, None], idx[None, :]
+    return mat[(rows & ~mask) | (cols & mask), (cols & ~mask) | (rows & mask)]
+
+
+def dephased_random_density(seed, n):
+    rng = np.random.default_rng(seed)
+    return apply_dephasing(random_density(rng, n), random_aggregate(rng, n))
 
 
 def density(mat):
@@ -95,12 +112,6 @@ class TestDensityMatrix:
 
 
 class TestQubitSubset:
-    def test_basis_mask_msb_convention(self):
-        # qubit 1 is the most significant bit
-        assert QubitSubset(3, frozenset({1})).basis_mask == 0b100
-        assert QubitSubset(3, frozenset({3})).basis_mask == 0b001
-        assert QubitSubset(3, frozenset({1, 3})).basis_mask == 0b101
-
     def test_complement(self):
         sub = QubitSubset(4, frozenset({2, 4}))
         assert sub.complement().members == frozenset({1, 3})
@@ -153,21 +164,22 @@ class TestPartialTrace:
 
 
 class TestPartialTranspose:
-    @given(st.integers(0, 10**6), st.integers(2, 4))
+    @given(st.integers(0, 10**6), st.integers(2, 6))
     def test_involution(self, seed, n):
-        rng = np.random.default_rng(seed)
-        rho = random_density(rng, n)
-        members = frozenset({int(rng.integers(1, n + 1))})
-        sub = QubitSubset(n, members)
-        once = partial_transpose(rho, sub)
-        # apply the same index swap again by hand
-        mask = sub.basis_mask
-        idx = np.arange(2**n)
-        rows, cols = idx[:, None], idx[None, :]
-        twice = once[(rows & ~mask) | (cols & mask), (cols & ~mask) | (rows & mask)]
-        assert np.array_equal(twice, rho.mat)
-        assert np.abs(once - once.conj().T).max() < 1e-15
-        assert abs(once.trace() - 1.0) < 1e-14
+        rho = dephased_random_density(seed, n)
+        for cut in enumerate_cuts(n):
+            once = partial_transpose(rho, cut.p1)
+            assert np.array_equal(once, pt_reference(rho.mat, n, cut.p1.members))
+            # the same index swap again, by the reference
+            assert np.array_equal(pt_reference(once, n, cut.p1.members), rho.mat)
+            assert np.abs(once - once.conj().T).max() < 1e-15
+            assert abs(once.trace() - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("members", [{1}, {10}, {1, 2, 3, 4, 5}, {2, 4, 6, 8, 10}])
+    def test_matches_reference_at_ten_qubits(self, members):
+        rho = dephased_random_density(10, 10)
+        once = partial_transpose(rho, QubitSubset(10, frozenset(members)))
+        assert np.array_equal(once, pt_reference(rho.mat, 10, members))
 
     def test_product_state_stays_psd(self):
         rng = np.random.default_rng(3)
