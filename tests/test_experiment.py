@@ -333,16 +333,24 @@ class TestCSV:
 
 
 class TestGoldenCSV:
-    """Stored `decohere single` output, produced once by an earlier release.
+    """Stored `decohere single` and `decohere sweep` output, produced once by
+    an earlier release.
 
-    Refactors of the numerical kernels must reproduce these bytes exactly;
-    never regenerate the CSVs from the code under test.
+    Refactors of the numerical kernels or of config parsing must reproduce
+    these bytes exactly; never regenerate the CSVs from the code under test.
+    The sweep files pin the homogeneous gamma = lambda**K and
+    Phi = K*phi mod 2*pi arithmetic for lambda, K and n_qubits sweeps.
     """
 
     @pytest.mark.parametrize("name", ["ghz4", "w4", "cluster4", "cluster8", "w10"])
     def test_rows_byte_identical(self, name):
         expected = (GOLDEN / f"{name}.csv").read_bytes().decode()
         assert csv_text(run_single(load_config(str(GOLDEN / f"{name}.yaml")))) == expected
+
+    @pytest.mark.parametrize("name", ["w5_lambda", "ghz4_k", "cluster_n"])
+    def test_sweep_rows_byte_identical(self, name):
+        expected = (GOLDEN / f"{name}.csv").read_bytes().decode()
+        assert csv_text(run_sweep(load_config(str(GOLDEN / f"{name}.yaml")))) == expected
 
 
 class TestCLI:
