@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from decohere import (
+    MAX_QUBITS,
     BracketError,
     Family,
     StateFamily,
@@ -46,8 +47,8 @@ def main(argv=None):
     parser.add_argument("--max-n", type=int, default=5, help="longest chain")
     parser.add_argument("--out", help="write cut/threshold rows to this CSV file")
     args = parser.parse_args(argv)
-    if args.max_n < 2:
-        parser.error("--max-n must be at least 2")
+    if not 2 <= args.max_n <= MAX_QUBITS:
+        parser.error(f"--max-n must be in [2, {MAX_QUBITS}]")
 
     rows = []
     for n in range(2, args.max_n + 1):

@@ -15,27 +15,21 @@ import sys
 
 import numpy as np
 
-from decohere.experiment import (
-    ExperimentConfig,
-    HomogeneousSchedule,
-    SweepSpec,
-    run_sweep,
-    write_csv,
-)
-from decohere import Family
+from decohere import MAX_QUBITS
+from decohere.experiment import parse_config, run_sweep, write_csv
 
 STRENGTHS = (0.85, 0.90, 0.95)
 COLLISION_COUNTS = (1, 2)
 
 
 def sweep_rows(strength, collisions, max_n):
-    config = ExperimentConfig(
-        family=Family.GHZ,
-        n_qubits=2,
-        schedule=HomogeneousSchedule(collisions, strength),
-        cuts=(1,),  # any cut gives the same spectrum for this family
-        sweep=SweepSpec("n_qubits", tuple(range(2, max_n + 1))),
-    )
+    config = parse_config({
+        "family": "ghz",
+        "n_qubits": 2,
+        "schedule": {"K": collisions, "lambda": strength},
+        "cuts": [1],  # any cut gives the same spectrum for this family
+        "sweep": {"parameter": "n_qubits", "values": list(range(2, max_n + 1))},
+    })
     return run_sweep(config)
 
 
@@ -44,8 +38,8 @@ def main(argv=None):
     parser.add_argument("--max-n", type=int, default=8, help="largest qubit count")
     parser.add_argument("--out", help="write all sweep rows to this CSV file")
     args = parser.parse_args(argv)
-    if args.max_n < 3:
-        parser.error("--max-n must be at least 3 to fit a slope")
+    if not 3 <= args.max_n <= MAX_QUBITS:
+        parser.error(f"--max-n must be in [3, {MAX_QUBITS}]; fitting a slope needs 3 sizes")
 
     all_rows = []
     print(f"{'strength':>9} {'collisions':>10} {'slope':>12} {'expected':>12} {'misfit':>10}")

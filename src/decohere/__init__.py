@@ -42,7 +42,6 @@ from .experiment import (
 from .linalg import (
     DensityMatrix,
     QubitSubset,
-    dagger,
     hermitian_eigenvalues,
     kron,
     partial_trace,
@@ -61,6 +60,6 @@ from .negativity import (
     w_negativity_formula,
 )
 from .states import Family, StateFamily, make_cluster, make_ghz, make_state, make_w, to_density
-from .tolerances import DEFAULT, MAX_QUBITS, Tolerances
+from .tolerances import MAX_QUBITS
 
 __version__ = "0.1.0"

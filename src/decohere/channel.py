@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import InvalidPartitionError, InvalidSizeError
 from .linalg import DensityMatrix, QubitSubset, _qubit_view, kron, norm_check, partial_trace
-from .tolerances import DEFAULT, Tolerances
 
 TWO_PI = 2.0 * np.pi
 
@@ -194,7 +193,7 @@ def build_collision_unitary(spec: MicroCollisionSpec) -> np.ndarray:
     return u
 
 
-def collision_params(spec: MicroCollisionSpec, tol: Tolerances = DEFAULT) -> CollisionParams:
+def collision_params(spec: MicroCollisionSpec) -> CollisionParams:
     """Reduce a microscopic collision to its (strength, phase) pair.
 
     The reduced single-qubit map scales coherences by the environment

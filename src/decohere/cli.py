@@ -72,6 +72,9 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.seed < 0:
+        print(f"decohere: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return 2
     results = run_suite(max_n=args.max_n, seed=args.seed)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1

@@ -21,6 +21,13 @@ Unknown fields anywhere are an error — configs fail fast rather than running
 something other than what was written. Cut bitmasks use the external
 encoding: bit (i-1) set means qubit i belongs to P1.
 
+Parsing reduces a config to its evaluated points: one for a plain config,
+one per sweep value in value order. Each point is the per-qubit
+``AggregateDephasing`` of the schedule there (gamma = lambda**K and
+Phi = K*phi mod 2*pi for every qubit of the homogeneous form, the listed
+values for the explicit form) together with the cuts to report, resolved
+for that point's qubit count.
+
 Result rows carry both oracle quantities plus the closed form where one
 exists. ``abs_error`` compares the formula against the oracle quantity the
 formula predicts: the signed minimum eigenvalue for GHZ and W, the
@@ -30,7 +37,6 @@ negativity sum for cluster chains (see ``negativity.closed_form``).
 from __future__ import annotations
 
 import csv
-import dataclasses
 from dataclasses import dataclass
 from typing import IO, Union
 
@@ -56,75 +62,17 @@ _FAMILY_NAMES = {f.value: f for f in Family}
 
 
 @dataclass(frozen=True)
-class HomogeneousSchedule:
-    """Every qubit: ``collisions_per_qubit`` identical collisions."""
-
-    collisions_per_qubit: int
-    strength: float
-    phase: float = 0.0
-
-    def aggregate(self, n_qubits: int) -> AggregateDephasing:
-        gamma = float(self.strength) ** self.collisions_per_qubit
-        phase = (self.collisions_per_qubit * self.phase) % TWO_PI
-        return AggregateDephasing.homogeneous(n_qubits, gamma, phase)
-
-
-@dataclass(frozen=True)
-class ExplicitSchedule:
-    """Directly specified per-qubit aggregates."""
-
-    gammas: tuple[float, ...]
-    phases: tuple[float, ...]
-
-    def aggregate(self, n_qubits: int) -> AggregateDephasing:
-        if len(self.gammas) != n_qubits:
-            raise ConfigError(
-                f"schedule.gammas: expected {n_qubits} entries, got {len(self.gammas)}"
-            )
-        return AggregateDephasing(np.array(self.gammas), np.array(self.phases))
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    parameter: str  # "lambda" | "K" | "n_qubits"
-    values: tuple
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated config: the state family and its evaluated points.
+
+    Each point pairs the per-qubit aggregate (whose size is the point's
+    qubit count) with the cuts to report there. ``sweep`` names the swept
+    parameter, or is None for a plain config with exactly one point.
+    """
+
     family: Family
-    n_qubits: int
-    schedule: Union[HomogeneousSchedule, ExplicitSchedule]
-    cuts: Union[str, tuple[int, ...]] = "all"
-    sweep: Union[SweepSpec, None] = None
-
-    def state_family(self) -> StateFamily:
-        return StateFamily(self.family, self.n_qubits)
-
-    def resolve_cuts(self) -> list[BipartiteCut]:
-        if self.cuts == "all":
-            if self.n_qubits > ALL_CUTS_LIMIT:
-                raise ConfigError(
-                    f"cuts: 'all' would enumerate 2**{self.n_qubits - 1} - 1 cuts "
-                    f"for n_qubits={self.n_qubits}; list the wanted cut bitmasks "
-                    f"explicitly above {ALL_CUTS_LIMIT} qubits"
-                )
-            return enumerate_cuts(self.n_qubits)
-        cuts = []
-        seen = set()
-        for mask in self.cuts:
-            try:
-                cut = BipartiteCut.from_cli_bitmask(self.n_qubits, mask)
-            except DecohereError as exc:
-                raise ConfigError(f"cuts: {exc}") from exc
-            if cut.cli_bitmask in seen:
-                raise ConfigError(
-                    f"cuts: bitmask {mask} duplicates cut {cut.human()} "
-                    "(a mask and its complement are the same cut)"
-                )
-            seen.add(cut.cli_bitmask)
-            cuts.append(cut)
-        return cuts
+    points: tuple[tuple[AggregateDephasing, tuple[BipartiteCut, ...]], ...]
+    sweep: Union[str, None] = None
 
 
 # --------------------------------------------------------------------------
@@ -163,6 +111,8 @@ def _as_real(value, where: str) -> float:
 
 
 def _parse_schedule(data, n_qubits: int):
+    """The explicit form's aggregate, or the homogeneous form's parameters
+    as ``{"n_qubits": ..., "K": ..., "lambda": ..., "phi": ...}``."""
     if not isinstance(data, dict):
         raise ConfigError(f"schedule: expected a mapping, got {type(data).__name__}")
     keys = set(data)
@@ -173,7 +123,7 @@ def _parse_schedule(data, n_qubits: int):
             raise ConfigError(
                 f"schedule.gammas: expected a list of {n_qubits} numbers, got {raw!r}"
             )
-        gammas = tuple(_as_real(g, f"schedule.gammas[{i}]") for i, g in enumerate(raw))
+        gammas = [_as_real(g, f"schedule.gammas[{i}]") for i, g in enumerate(raw)]
         for i, g in enumerate(gammas):
             if not 0.0 <= g <= 1.0:
                 raise ConfigError(f"schedule.gammas[{i}]: must be in [0, 1], got {g}")
@@ -182,8 +132,8 @@ def _parse_schedule(data, n_qubits: int):
             raise ConfigError(
                 f"schedule.phis: expected a list of {n_qubits} numbers, got {raw_phis!r}"
             )
-        phases = tuple(_as_real(p, f"schedule.phis[{i}]") for i, p in enumerate(raw_phis))
-        return ExplicitSchedule(gammas, phases)
+        phases = [_as_real(p, f"schedule.phis[{i}]") for i, p in enumerate(raw_phis)]
+        return AggregateDephasing(np.array(gammas), np.array(phases))
 
     _no_extras(data, {"K", "lambda", "phi"}, "schedule")
     k = _as_int(_want(data, "K", "schedule"), "schedule.K")
@@ -193,7 +143,17 @@ def _parse_schedule(data, n_qubits: int):
     if not 0.0 <= strength <= 1.0:
         raise ConfigError(f"schedule.lambda: must be in [0, 1], got {strength}")
     phase = _as_real(data.get("phi", 0.0), "schedule.phi")
-    return HomogeneousSchedule(k, strength, phase)
+    return {"n_qubits": n_qubits, "K": k, "lambda": strength, "phi": phase}
+
+
+def _homogeneous(point: dict) -> AggregateDephasing:
+    """K collisions of strength lambda and phase phi on each of n_qubits."""
+    k = point["K"]
+    # One power, not K products as schedule_aggregate forms them: the last
+    # bit of gamma differs between the two, and CSV rows carry every bit.
+    gamma = point["lambda"] ** k
+    phase = (k * point["phi"]) % TWO_PI
+    return AggregateDephasing.homogeneous(point["n_qubits"], gamma, phase)
 
 
 def _parse_cuts(data):
@@ -204,7 +164,33 @@ def _parse_cuts(data):
     return tuple(_as_int(m, f"cuts[{i}]") for i, m in enumerate(data))
 
 
-def _parse_sweep(data, schedule) -> SweepSpec:
+def _resolve_cuts(cuts, n_qubits: int) -> tuple[BipartiteCut, ...]:
+    if cuts == "all":
+        if n_qubits > ALL_CUTS_LIMIT:
+            raise ConfigError(
+                f"cuts: 'all' would enumerate 2**{n_qubits - 1} - 1 cuts "
+                f"for n_qubits={n_qubits}; list the wanted cut bitmasks "
+                f"explicitly above {ALL_CUTS_LIMIT} qubits"
+            )
+        return tuple(enumerate_cuts(n_qubits))
+    resolved = []
+    seen = set()
+    for mask in cuts:
+        try:
+            cut = BipartiteCut.from_cli_bitmask(n_qubits, mask)
+        except DecohereError as exc:
+            raise ConfigError(f"cuts: {exc}") from exc
+        if cut.cli_bitmask in seen:
+            raise ConfigError(
+                f"cuts: bitmask {mask} duplicates cut {cut.human()} "
+                "(a mask and its complement are the same cut)"
+            )
+        seen.add(cut.cli_bitmask)
+        resolved.append(cut)
+    return tuple(resolved)
+
+
+def _parse_sweep(data, schedule) -> tuple[str, tuple]:
     if not isinstance(data, dict):
         raise ConfigError(f"sweep: expected a mapping, got {type(data).__name__}")
     _no_extras(data, {"parameter", "values"}, "sweep")
@@ -213,7 +199,7 @@ def _parse_sweep(data, schedule) -> SweepSpec:
         raise ConfigError(
             f"sweep.parameter: expected one of lambda/K/n_qubits, got {parameter!r}"
         )
-    if isinstance(schedule, ExplicitSchedule):
+    if isinstance(schedule, AggregateDephasing):
         raise ConfigError(
             "sweep: sweeping requires the homogeneous schedule form (K/lambda), "
             "not explicit per-qubit lists"
@@ -237,7 +223,7 @@ def _parse_sweep(data, schedule) -> SweepSpec:
                 )
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("sweep.values: must be strictly increasing")
-    return SweepSpec(parameter, values)
+    return parameter, values
 
 
 def parse_config(data) -> ExperimentConfig:
@@ -261,20 +247,18 @@ def parse_config(data) -> ExperimentConfig:
     cuts = _parse_cuts(data.get("cuts", "all"))
     sweep = None
     if data.get("sweep") is not None:
-        sweep = _parse_sweep(data["sweep"], schedule)
+        sweep, values = _parse_sweep(data["sweep"], schedule)
 
-    config = ExperimentConfig(family, n_qubits, schedule, cuts, sweep)
-    # Surface cut-list problems (bad masks, duplicates, 'all' explosion) at
-    # load time, for the base size and for every swept size.
-    for n in _swept_sizes(config):
-        dataclasses.replace(config, n_qubits=n).resolve_cuts()
-    return config
-
-
-def _swept_sizes(config: ExperimentConfig) -> list[int]:
-    if config.sweep is not None and config.sweep.parameter == "n_qubits":
-        return list(config.sweep.values)
-    return [config.n_qubits]
+    if isinstance(schedule, AggregateDephasing):
+        aggregates = [schedule]
+    elif sweep is None:
+        aggregates = [_homogeneous(schedule)]
+    else:
+        aggregates = [_homogeneous({**schedule, sweep: v}) for v in values]
+    # Cut-list problems (bad masks, duplicates, 'all' explosion) surface here,
+    # at load time, for every evaluated size.
+    points = tuple((agg, _resolve_cuts(cuts, agg.n_qubits)) for agg in aggregates)
+    return ExperimentConfig(family, points, sweep)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -305,17 +289,19 @@ class ResultRow:
     abs_error: Union[float, None]
 
 
-def _rows_for(config: ExperimentConfig) -> list[ResultRow]:
-    family = config.state_family()
-    agg = config.schedule.aggregate(config.n_qubits)
+def _point_rows(
+    kind: Family, agg: AggregateDephasing, cuts: tuple[BipartiteCut, ...]
+) -> list[ResultRow]:
+    # One point per call, so its density matrix is freed before the next is built.
+    family = StateFamily(kind, agg.n_qubits)
     rho = apply_dephasing(to_density(make_state(family)), agg)
     gammas = tuple(float(g) for g in agg.gamma)
 
     rows = []
-    for cut in config.resolve_cuts():
+    for cut in cuts:
         report = negativity_oracle(rho, cut)
         try:
-            value, _, predicts = closed_form(family, agg, cut)
+            value, predicts = closed_form(family, agg, cut)
             oracle_side = getattr(report, predicts)
             formula_value: Union[float, None] = float(value)
             abs_error: Union[float, None] = abs(oracle_side - value)
@@ -324,8 +310,8 @@ def _rows_for(config: ExperimentConfig) -> list[ResultRow]:
             abs_error = None
         rows.append(
             ResultRow(
-                family=config.family.value,
-                n_qubits=config.n_qubits,
+                family=kind.value,
+                n_qubits=agg.n_qubits,
                 cut=cut,
                 gammas=gammas,
                 min_eigenvalue=report.min_eigenvalue,
@@ -337,32 +323,25 @@ def _rows_for(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+def _run(config: ExperimentConfig) -> list[ResultRow]:
+    rows = []
+    for agg, cuts in config.points:
+        rows.extend(_point_rows(config.family, agg, cuts))
+    return rows
+
+
 def run_single(config: ExperimentConfig) -> list[ResultRow]:
     """Evaluate one configuration: one row per requested cut, in cut order."""
     if config.sweep is not None:
         raise ConfigError("run_single: config contains a sweep block; use run_sweep")
-    return _rows_for(config)
-
-
-def _with_sweep_value(config: ExperimentConfig, value) -> ExperimentConfig:
-    parameter = config.sweep.parameter
-    if parameter == "n_qubits":
-        return dataclasses.replace(config, n_qubits=int(value), sweep=None)
-    if parameter == "K":
-        schedule = dataclasses.replace(config.schedule, collisions_per_qubit=int(value))
-    else:  # lambda
-        schedule = dataclasses.replace(config.schedule, strength=float(value))
-    return dataclasses.replace(config, schedule=schedule, sweep=None)
+    return _run(config)
 
 
 def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every sweep point in value order; rows grouped per point."""
     if config.sweep is None:
         raise ConfigError("run_sweep: config has no sweep block; use run_single")
-    rows = []
-    for value in config.sweep.values:
-        rows.extend(_rows_for(_with_sweep_value(config, value)))
-    return rows
+    return _run(config)
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,7 @@ fixed build and identical input.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,14 @@ from .errors import (
     NormalizationError,
     SymmetryViolationError,
 )
-from .tolerances import DEFAULT, MAX_QUBITS, Tolerances
+from .tolerances import (
+    EIGENSOLVER_INPUT_TOL,
+    HERMITICITY_TOL,
+    MAX_QUBITS,
+    NORMALIZATION_TOL,
+    PSD_FLOOR,
+    TRACE_TOL,
+)
 
 
 def _as_complex(a) -> np.ndarray:
@@ -52,7 +60,13 @@ class QubitSubset:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise InvalidPartitionError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        object.__setattr__(self, "members", frozenset(int(q) for q in self.members))
+        try:
+            members = frozenset(operator.index(q) for q in self.members)
+        except TypeError as exc:
+            raise InvalidPartitionError(
+                f"qubit indices must be integers, got {sorted(self.members, key=repr)}"
+            ) from exc
+        object.__setattr__(self, "members", members)
         bad = [q for q in self.members if not 1 <= q <= self.n_qubits]
         if bad:
             raise InvalidPartitionError(
@@ -84,7 +98,7 @@ class DensityMatrix:
 
     __slots__ = ("n_qubits", "mat")
 
-    def __init__(self, n_qubits: int, mat, tol: Tolerances = DEFAULT):
+    def __init__(self, n_qubits: int, mat):
         mat = _as_complex(mat)
         dim = 2**n_qubits
         if mat.shape != (dim, dim):
@@ -95,9 +109,9 @@ class DensityMatrix:
             raise CapacityError(
                 f"{n_qubits} qubits exceeds the dense capacity of {MAX_QUBITS}"
             )
-        require_hermitian(mat, tol.hermiticity)
+        require_hermitian(mat, HERMITICITY_TOL)
         tr = mat.trace()
-        if abs(tr - 1.0) > tol.trace:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise NormalizationError(f"density matrix trace {tr} differs from 1")
         self.n_qubits = n_qubits
         self.mat = mat
@@ -106,10 +120,10 @@ class DensityMatrix:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def assert_psd(self, tol: Tolerances = DEFAULT) -> None:
-        """Raise NormalizationError unless all eigenvalues are >= tol.psd."""
-        smallest = hermitian_eigenvalues(self.mat, tol)[0]
-        if smallest < tol.psd:
+    def assert_psd(self) -> None:
+        """Raise NormalizationError unless all eigenvalues are >= PSD_FLOOR."""
+        smallest = hermitian_eigenvalues(self.mat)[0]
+        if smallest < PSD_FLOOR:
             raise NormalizationError(
                 f"density matrix has negative eigenvalue {smallest:.3e}"
             )
@@ -128,11 +142,6 @@ def kron(a, b) -> np.ndarray:
             f"kron result dimension {a.shape[0] * b.shape[0]} exceeds 2**{MAX_QUBITS}"
         )
     return np.kron(a, b)
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_complex(a).conj().T.copy()
 
 
 def require_hermitian(a: np.ndarray, bound: float) -> None:
@@ -211,18 +220,18 @@ def partial_transpose(rho: DensityMatrix, transposed: QubitSubset) -> np.ndarray
     return tensor.transpose(order).reshape(rho.dim, rho.dim)
 
 
-def hermitian_eigenvalues(a, tol: Tolerances = DEFAULT) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     This is the oracle the closed-form results are verified against, so the
     input contract is enforced rather than assumed: a non-Hermitian argument
-    (beyond ``tol.eigensolver_input`` in max-norm) raises
+    (beyond ``EIGENSOLVER_INPUT_TOL`` in max-norm) raises
     :class:`SymmetryViolationError` instead of returning garbage quietly.
     """
     a = _as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    require_hermitian(a, tol.eigensolver_input)
+    require_hermitian(a, EIGENSOLVER_INPUT_TOL)
     return np.linalg.eigvalsh(a)
 
 
@@ -232,7 +241,7 @@ def outer(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def norm_check(psi: np.ndarray, tol: Tolerances = DEFAULT) -> None:
+def norm_check(psi: np.ndarray) -> None:
     nrm = float(np.vdot(psi, psi).real)
-    if abs(nrm - 1.0) > tol.normalization:
+    if abs(nrm - 1.0) > NORMALIZATION_TOL:
         raise NormalizationError(f"state vector squared norm {nrm} differs from 1")

@@ -31,7 +31,7 @@ from .channel import AggregateDephasing, apply_dephasing
 from .errors import BracketError, FormulaUnavailableError, InvalidPartitionError, InvalidSizeError
 from .linalg import DensityMatrix, QubitSubset, hermitian_eigenvalues, partial_transpose
 from .states import Family, StateFamily, make_state, to_density
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import BISECTION_WIDTH, PSD_FLOOR
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,11 @@ class BipartiteCut:
 
 @dataclass(frozen=True)
 class NegativityReport:
-    """PT-spectrum summary for one cut, plus the closed form when one exists."""
+    """PT-spectrum summary for one cut."""
 
     cut: BipartiteCut
     min_eigenvalue: float
     negativity_sum: float
-    formula_value: float | None = None
-    formula_name: str | None = None
 
 
 @dataclass(frozen=True)
@@ -123,20 +121,18 @@ def enumerate_cuts(n_qubits: int) -> list[BipartiteCut]:
     ]
 
 
-def negativity_oracle(
-    rho: DensityMatrix, cut: BipartiteCut, tol: Tolerances = DEFAULT
-) -> NegativityReport:
-    """Exact PT spectrum summary for one cut (no closed form attached).
+def negativity_oracle(rho: DensityMatrix, cut: BipartiteCut) -> NegativityReport:
+    """Exact PT spectrum summary for one cut.
 
-    Eigenvalues below ``tol.psd`` count as negative; anything in
-    ``[tol.psd, 0]`` is eigensolver noise and treated as zero.
+    Eigenvalues below ``PSD_FLOOR`` count as negative; anything in
+    ``[PSD_FLOOR, 0]`` is eigensolver noise and treated as zero.
     """
     if cut.n_qubits != rho.n_qubits:
         raise InvalidPartitionError(
             f"cut is over {cut.n_qubits} qubits, state has {rho.n_qubits}"
         )
-    eigs = hermitian_eigenvalues(partial_transpose(rho, cut.p1), tol)
-    negatives = eigs[eigs < tol.psd]
+    eigs = hermitian_eigenvalues(partial_transpose(rho, cut.p1))
+    negatives = eigs[eigs < PSD_FLOOR]
     return NegativityReport(
         cut=cut,
         min_eigenvalue=float(eigs[0]),
@@ -211,49 +207,26 @@ def cluster_negativity_formula(agg: AggregateDephasing, cut: BipartiteCut) -> fl
 
 def closed_form(
     family: StateFamily, agg: AggregateDephasing, cut: BipartiteCut
-) -> tuple[float, str, str]:
+) -> tuple[float, str]:
     """Dispatch to the family's closed form.
 
-    Returns ``(value, label, predicts)`` where ``predicts`` names the oracle
+    Returns ``(value, predicts)`` where ``predicts`` names the oracle
     quantity the formula is a prediction of: ``"min_eigenvalue"`` (signed)
     for GHZ and W, ``"negativity_sum"`` for the cluster chain.
 
     Raises FormulaUnavailableError when the family/size has no closed form.
     """
     if family.kind is Family.GHZ:
-        return ghz_negativity_formula(agg), "ghz_min_eigenvalue", "min_eigenvalue"
+        return ghz_negativity_formula(agg), "min_eigenvalue"
     if family.kind is Family.W:
-        return w_negativity_formula(agg, cut), "w_min_eigenvalue", "min_eigenvalue"
-    return (
-        cluster_negativity_formula(agg, cut),
-        "cluster_negativity",
-        "negativity_sum",
-    )
+        return w_negativity_formula(agg, cut), "min_eigenvalue"
+    return cluster_negativity_formula(agg, cut), "negativity_sum"
 
 
-def attach_closed_form(
-    report: NegativityReport, family: StateFamily, agg: AggregateDephasing
-) -> NegativityReport:
-    """Return the report with the family's closed form filled in, when one exists."""
-    try:
-        value, label, _ = closed_form(family, agg, report.cut)
-    except FormulaUnavailableError:
-        return report
-    return NegativityReport(
-        cut=report.cut,
-        min_eigenvalue=report.min_eigenvalue,
-        negativity_sum=report.negativity_sum,
-        formula_value=value,
-        formula_name=label,
-    )
-
-
-def distillability_check(
-    rho: DensityMatrix, tol: Tolerances = DEFAULT
-) -> DistillabilityVerdict:
+def distillability_check(rho: DensityMatrix) -> DistillabilityVerdict:
     """Check the all-cuts-NPT necessary condition for n-partite distillability."""
-    reports = [negativity_oracle(rho, cut, tol) for cut in enumerate_cuts(rho.n_qubits)]
-    ppt = tuple(r.cut for r in reports if r.min_eigenvalue >= tol.psd)
+    reports = [negativity_oracle(rho, cut) for cut in enumerate_cuts(rho.n_qubits)]
+    ppt = tuple(r.cut for r in reports if r.min_eigenvalue >= PSD_FLOOR)
     worst = max(reports, key=lambda r: r.min_eigenvalue).cut
     return DistillabilityVerdict(
         all_cuts_npt=not ppt,
@@ -267,8 +240,6 @@ def critical_gamma(
     cut: BipartiteCut,
     lo: float,
     hi: float,
-    tol: Tolerances = DEFAULT,
-    max_iterations: int = 60,
 ) -> float:
     """Bisect for the homogeneous gamma where a cut switches NPT <-> PPT.
 
@@ -289,8 +260,8 @@ def critical_gamma(
 
     def is_npt(gamma: float) -> bool:
         agg = AggregateDephasing.homogeneous(family.n_qubits, gamma)
-        report = negativity_oracle(apply_dephasing(base, agg), cut, tol)
-        return report.min_eigenvalue < tol.psd
+        report = negativity_oracle(apply_dephasing(base, agg), cut)
+        return report.min_eigenvalue < PSD_FLOOR
 
     lo_npt = is_npt(lo)
     if lo_npt == is_npt(hi):
@@ -300,9 +271,7 @@ def critical_gamma(
         )
 
     a, b = float(lo), float(hi)
-    for _ in range(max_iterations):
-        if b - a <= tol.bisection:
-            break
+    while b - a > BISECTION_WIDTH:
         mid = 0.5 * (a + b)
         if is_npt(mid) == lo_npt:
             a = mid

@@ -1,49 +1,23 @@
 """Numerical tolerances, centralized.
 
-Every comparison threshold the library uses lives in one frozen record so that
-the defaults are visible in a single place and tests can tighten or relax them
-deliberately instead of scattering magic numbers.
+Every comparison threshold the library uses is a constant here, so that the
+values are visible in a single place instead of scattered as magic numbers.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Thresholds for the validity checks performed across the library.
-
-    Attributes
-    ----------
-    hermiticity : float
-        Max-norm bound on ``A - A.conj().T`` for density matrices.
-    trace : float
-        Allowed deviation of a density-matrix trace from 1.
-    psd : float
-        Most negative eigenvalue still accepted as "positive semidefinite";
-        also the threshold below which a partial-transpose eigenvalue counts
-        as genuinely negative (NPT).
-    eigensolver_input : float
-        Max-norm Hermiticity bound required of eigensolver inputs.
-    normalization : float
-        Allowed deviation of a state-vector squared norm from 1.
-    channel_agreement : float
-        Entrywise bound for the microscopic-collision vs reduced-map check.
-    bisection : float
-        Bracket width at which the critical-strength bisection stops.
-    """
-
-    hermiticity: float = 1e-12
-    trace: float = 1e-12
-    psd: float = -1e-10
-    eigensolver_input: float = 1e-10
-    normalization: float = 1e-12
-    channel_agreement: float = 1e-10
-    bisection: float = 1e-9
-
-
-DEFAULT = Tolerances()
+# Max-norm bound on ``A - A.conj().T`` for density matrices.
+HERMITICITY_TOL = 1e-12
+# Allowed deviation of a density-matrix trace from 1.
+TRACE_TOL = 1e-12
+# Most negative eigenvalue still accepted as "positive semidefinite"; also the
+# threshold below which a partial-transpose eigenvalue counts as genuinely
+# negative (NPT).
+PSD_FLOOR = -1e-10
+# Max-norm Hermiticity bound required of eigensolver inputs.
+EIGENSOLVER_INPUT_TOL = 1e-10
+# Allowed deviation of a state-vector squared norm from 1.
+NORMALIZATION_TOL = 1e-12
+# Bracket width at which the critical-strength bisection stops.
+BISECTION_WIDTH = 1e-9
 
 # Dense 2^12 x 2^12 complex128 is ~268 MB; one working copy plus the partial
 # transpose is the practical ceiling for a desktop-class machine.

@@ -35,9 +35,7 @@ from .linalg import (
     DensityMatrix,
     QubitSubset,
     _qubit_view,
-    dagger,
     hermitian_eigenvalues,
-    kron,
     partial_trace,
     partial_transpose,
 )
@@ -136,26 +134,6 @@ def _family_states(max_n: int):
 # --------------------------------------------------------------------------
 
 
-def check_kron_associativity(max_n: int, rng: np.random.Generator) -> PropertyResult:
-    worst = 0.0
-    for _ in range(20):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        worst = max(worst, np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))).max())
-    return PropertyResult("kron_associativity", worst <= 1e-14, worst, 1e-14)
-
-
-def check_dagger_involution(max_n: int, rng: np.random.Generator) -> PropertyResult:
-    worst = 0.0
-    for _ in range(20):
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        worst = max(worst, np.abs(dagger(dagger(a)) - a).max())
-        h = a + a.conj().T
-        worst = max(worst, np.abs(dagger(h) - h).max())
-    return PropertyResult("dagger_involution", worst == 0.0, worst, 0.0)
-
-
 def check_partial_trace_preserves_trace(max_n: int, rng: np.random.Generator) -> PropertyResult:
     worst = 0.0
     for n in range(2, max_n + 1):
@@ -182,33 +160,6 @@ def check_partial_transpose_involution(max_n: int, rng: np.random.Generator) -> 
             worst = max(worst, np.abs(pt - pt.conj().T).max())
             worst = max(worst, abs(pt.trace() - rho.mat.trace()))
     return PropertyResult("partial_transpose_involution", worst <= 1e-14, worst, 1e-14)
-
-
-def check_eigenvalue_sum_matches_trace(max_n: int, rng: np.random.Generator) -> PropertyResult:
-    worst = 0.0
-    for n in range(1, max_n + 1):
-        dim = 2**n
-        for _ in range(8):
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = a + a.conj().T
-            eigs = hermitian_eigenvalues(h)
-            worst = max(worst, abs(eigs.sum() - h.trace().real) / dim)
-    return PropertyResult("eigenvalue_sum_matches_trace", worst <= 1e-9, worst, 1e-9)
-
-
-def check_kron_eigenvalue_products(max_n: int, rng: np.random.Generator) -> PropertyResult:
-    worst = 0.0
-    for _ in range(8):
-        rho = random_density(rng, 2)
-        sigma = random_density(rng, 1)
-        got = np.sort(hermitian_eigenvalues(kron(rho.mat, sigma.mat)))
-        expected = np.sort(
-            np.multiply.outer(
-                hermitian_eigenvalues(rho.mat), hermitian_eigenvalues(sigma.mat)
-            ).ravel()
-        )
-        worst = max(worst, np.abs(got - expected).max())
-    return PropertyResult("kron_eigenvalue_products", worst <= 1e-9, worst, 1e-9)
 
 
 def check_pt_spectrum_range(max_n: int, rng: np.random.Generator) -> PropertyResult:
@@ -625,12 +576,8 @@ def check_ghz_slope_law(max_n: int, rng: np.random.Generator) -> PropertyResult:
 
 
 ALL_CHECKS: list[Callable[[int, np.random.Generator], PropertyResult]] = [
-    check_kron_associativity,
-    check_dagger_involution,
     check_partial_trace_preserves_trace,
     check_partial_transpose_involution,
-    check_eigenvalue_sum_matches_trace,
-    check_kron_eigenvalue_products,
     check_pt_spectrum_range,
     check_state_normalization,
     check_permutation_symmetry,

@@ -9,9 +9,6 @@ import pytest
 from decohere import ConfigError, Family
 from decohere.experiment import (
     CSV_HEADER,
-    ExplicitSchedule,
-    HomogeneousSchedule,
-    SweepSpec,
     load_config,
     parse_config,
     run_single,
@@ -39,14 +36,20 @@ def csv_text(rows):
     return buf.getvalue()
 
 
+def masks(cuts):
+    return [cut.cli_bitmask for cut in cuts]
+
+
 class TestParsing:
     def test_homogeneous_round_trip(self):
         config = parse_config(base_config(schedule={"K": 2, "lambda": 0.9, "phi": 0.3}))
         assert config.family is Family.GHZ
-        assert config.n_qubits == 3
-        assert config.schedule == HomogeneousSchedule(2, 0.9, 0.3)
-        assert config.cuts == "all"
         assert config.sweep is None
+        ((agg, cuts),) = config.points
+        # K = 2 collisions on every qubit: gamma = 0.9**2 = 0.81, Phi = 2 * 0.3 = 0.6
+        assert np.array_equal(agg.gamma, [0.9**2] * 3)
+        assert np.array_equal(agg.phase, [2 * 0.3] * 3)
+        assert masks(cuts) == [1, 3, 5]
 
     def test_explicit_round_trip(self):
         config = parse_config(
@@ -56,12 +59,14 @@ class TestParsing:
                 cuts=[1, 3],
             )
         )
-        assert config.schedule == ExplicitSchedule((0.5, 0.6, 0.7), (0.0, 0.1, 0.2))
-        assert config.cuts == (1, 3)
+        ((agg, cuts),) = config.points
+        assert np.array_equal(agg.gamma, [0.5, 0.6, 0.7])
+        assert np.array_equal(agg.phase, [0.0, 0.1, 0.2])
+        assert masks(cuts) == [1, 3]
 
     def test_phis_default_to_zero(self):
         config = parse_config(base_config(schedule={"gammas": [0.5, 0.6, 0.7]}))
-        assert config.schedule.phases == (0.0, 0.0, 0.0)
+        assert np.array_equal(config.points[0][0].phase, [0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize(
         "mangle",
@@ -107,7 +112,23 @@ class TestParsing:
         config = parse_config(
             base_config(sweep={"parameter": "n_qubits", "values": [2, 3, 4]})
         )
-        assert config.sweep == SweepSpec("n_qubits", (2, 3, 4))
+        assert config.sweep == "n_qubits"
+        assert [agg.n_qubits for agg, _ in config.points] == [2, 3, 4]
+        assert [len(cuts) for _, cuts in config.points] == [1, 3, 7]
+
+    @pytest.mark.parametrize(
+        "sweep, gammas, phases",
+        [
+            ({"parameter": "lambda", "values": [0.5, 0.8]}, [0.5**2, 0.8**2], [0.6, 0.6]),
+            ({"parameter": "K", "values": [0, 1, 3]}, [1.0, 0.9, 0.9**3], [0.0, 0.3, 3 * 0.3]),
+        ],
+    )
+    def test_sweep_points_are_aggregates(self, sweep, gammas, phases):
+        config = parse_config(
+            base_config(schedule={"K": 2, "lambda": 0.9, "phi": 0.3}, sweep=sweep)
+        )
+        assert [agg.gamma[0] for agg, _ in config.points] == gammas
+        assert [agg.phase[0] for agg, _ in config.points] == phases
 
     @pytest.mark.parametrize(
         "sweep",
@@ -162,7 +183,9 @@ class TestParsing:
         )
         config = load_config(str(path))
         assert config.family is Family.W
-        assert config.cuts == (3,)
+        ((agg, cuts),) = config.points
+        assert agg.n_qubits == 4
+        assert masks(cuts) == [3]
 
 
 class TestRunSingle:
@@ -444,3 +467,9 @@ class TestCLI:
     def test_verify_rejects_bad_max_n(self, bad):
         proc = self.run_cli("verify", "--max-n", bad)
         assert proc.returncode == 2
+
+    def test_verify_rejects_negative_seed(self):
+        proc = self.run_cli("verify", "--max-n", "2", "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("decohere: --seed")
+        assert "Traceback" not in proc.stderr

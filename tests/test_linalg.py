@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decohere import (
+    BipartiteCut,
     CapacityError,
     DensityMatrix,
     InvalidPartitionError,
@@ -11,7 +12,6 @@ from decohere import (
     QubitSubset,
     SymmetryViolationError,
     apply_dephasing,
-    dagger,
     enumerate_cuts,
     hermitian_eigenvalues,
     kron,
@@ -24,7 +24,6 @@ I2 = np.eye(2)
 P0 = np.diag([1.0, 0.0])
 P1 = np.diag([0.0, 1.0])
 S_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
-S_MINUS = S_PLUS.T.copy()
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -67,22 +66,6 @@ class TestKron:
             kron(big, big)  # 2**14 > 2**12
 
 
-class TestDagger:
-    def test_lowers_raising_operator(self):
-        assert np.array_equal(dagger(S_PLUS), S_MINUS)
-
-    def test_conjugates_phases(self):
-        assert np.array_equal(dagger(np.diag([1j, -1j])), np.diag([-1j, 1j]))
-
-    @given(st.integers(0, 10**6))
-    def test_involution_and_hermitian_fixed_points(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.array_equal(dagger(dagger(a)), a)
-        h = a + a.conj().T
-        assert np.array_equal(dagger(h), h)
-
-
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         mat = np.eye(4, dtype=complex) / 4
@@ -119,6 +102,17 @@ class TestQubitSubset:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidPartitionError):
             QubitSubset(2, frozenset({3}))
+        # Non-integer members are rejected, not truncated to a valid qubit.
+        for bad in (1.5, 2.9, "2"):
+            with pytest.raises(InvalidPartitionError):
+                QubitSubset(3, frozenset({bad}))
+            with pytest.raises(InvalidPartitionError):
+                BipartiteCut.from_members(3, {bad})
+
+    def test_accepts_numpy_integers(self):
+        sub = QubitSubset(3, frozenset({np.int64(2)}))
+        assert sub.members == frozenset({2})
+        assert all(type(q) is int for q in sub.members)
 
 
 class TestPartialTrace:

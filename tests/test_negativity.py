@@ -27,7 +27,7 @@ from decohere import (
     to_density,
     w_negativity_formula,
 )
-from decohere.negativity import attach_closed_form, closed_form
+from decohere.negativity import closed_form
 from decohere.verify import random_density
 
 SQRT2 = np.sqrt(2.0)
@@ -250,28 +250,13 @@ class TestClusterFormula:
 class TestClosedFormDispatch:
     def test_predicted_quantity_per_family(self):
         agg3 = homog(3, 0.5)
-        value, name, predicts = closed_form(
-            StateFamily(Family.GHZ, 3), agg3, cut_of(3, {1})
-        )
+        value, predicts = closed_form(StateFamily(Family.GHZ, 3), agg3, cut_of(3, {1}))
         assert predicts == "min_eigenvalue"
-        assert name == "ghz_min_eigenvalue"
         assert value < 0
-        _, name, predicts = closed_form(StateFamily(Family.W, 3), agg3, cut_of(3, {1}))
-        assert (name, predicts) == ("w_min_eigenvalue", "min_eigenvalue")
-        _, name, predicts = closed_form(
-            StateFamily(Family.CLUSTER, 3), agg3, cut_of(3, {1})
-        )
-        assert (name, predicts) == ("cluster_negativity", "negativity_sum")
-
-    def test_attach_round_trip(self):
-        agg = homog(3, 0.6)
-        rho = apply_dephasing(to_density(make_ghz(3)), agg)
-        cut = cut_of(3, {1, 3})
-        report = attach_closed_form(
-            negativity_oracle(rho, cut), StateFamily(Family.GHZ, 3), agg
-        )
-        assert report.formula_name == "ghz_min_eigenvalue"
-        assert abs(report.formula_value - report.min_eigenvalue) < 1e-10
+        _, predicts = closed_form(StateFamily(Family.W, 3), agg3, cut_of(3, {1}))
+        assert predicts == "min_eigenvalue"
+        _, predicts = closed_form(StateFamily(Family.CLUSTER, 3), agg3, cut_of(3, {1}))
+        assert predicts == "negativity_sum"
 
 
 class TestDistillability:

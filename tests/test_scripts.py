@@ -1,0 +1,53 @@
+"""The runnable experiments under scripts/, each in its own interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from decohere.experiment import CSV_HEADER
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args, timeout=120):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+
+
+def test_ghz_decay_sweep_fits_the_slope(tmp_path):
+    out = tmp_path / "f.csv"
+    proc = run_script("ghz_decay_sweep.py", "--max-n", "4", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().splitlines()[0] == ",".join(CSV_HEADER)
+    # table rows: strength, collisions, slope, expected, misfit
+    table = [line.split() for line in proc.stdout.splitlines()[1:] if not line.startswith("wrote")]
+    assert len(table) == 6
+    assert all(float(fields[4]) < 1e-9 for fields in table)
+
+
+def test_cluster_thresholds_rows(tmp_path):
+    out = tmp_path / "f.csv"
+    proc = run_script("cluster_thresholds.py", "--max-n", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "n_qubits,cut_bitmask,cut_human,critical_gamma"
+    assert len(lines[1:]) == 4  # one cut at n=2, three at n=3
+
+
+@pytest.mark.parametrize("name", ["ghz_decay_sweep.py", "cluster_thresholds.py"])
+def test_max_n_past_dense_capacity_is_a_usage_error(name):
+    # rejected up front, before any chain is bisected
+    proc = run_script(name, "--max-n", "13", timeout=30)
+    assert proc.returncode == 2
+    assert "--max-n" in proc.stderr
+    assert "Traceback" not in proc.stderr
