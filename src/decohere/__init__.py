@@ -42,7 +42,6 @@ from .experiment import (
 from .linalg import (
     DensityMatrix,
     QubitSubset,
-    hermitian_eigenvalues,
     kron,
     partial_trace,
     partial_transpose,

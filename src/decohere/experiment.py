@@ -152,8 +152,10 @@ def _homogeneous(point: dict) -> AggregateDephasing:
     # One power, not K products as schedule_aggregate forms them: the last
     # bit of gamma differs between the two, and CSV rows carry every bit.
     gamma = point["lambda"] ** k
-    phase = (k * point["phi"]) % TWO_PI
-    return AggregateDephasing.homogeneous(point["n_qubits"], gamma, phase)
+    phase = k * point["phi"]
+    if not np.isfinite(phase):
+        raise ConfigError(f"schedule.phi: K * phi = {k} * {point['phi']!r} is not finite")
+    return AggregateDephasing.homogeneous(point["n_qubits"], gamma, phase % TWO_PI)
 
 
 def _parse_cuts(data):

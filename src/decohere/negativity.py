@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import AggregateDephasing, apply_dephasing
 from .errors import BracketError, FormulaUnavailableError, InvalidPartitionError, InvalidSizeError
-from .linalg import DensityMatrix, QubitSubset, hermitian_eigenvalues, partial_transpose
+from .linalg import DensityMatrix, QubitSubset, partial_transpose
 from .states import Family, StateFamily, make_state, to_density
 from .tolerances import BISECTION_WIDTH, PSD_FLOOR
 
@@ -97,6 +97,11 @@ class NegativityReport:
     min_eigenvalue: float
     negativity_sum: float
 
+    @property
+    def npt(self) -> bool:
+        """The cut's verdict: NPT iff the minimum eigenvalue is below ``PSD_FLOOR``."""
+        return self.min_eigenvalue < PSD_FLOOR
+
 
 @dataclass(frozen=True)
 class DistillabilityVerdict:
@@ -127,11 +132,7 @@ def negativity_oracle(rho: DensityMatrix, cut: BipartiteCut) -> NegativityReport
     Eigenvalues below ``PSD_FLOOR`` count as negative; anything in
     ``[PSD_FLOOR, 0]`` is eigensolver noise and treated as zero.
     """
-    if cut.n_qubits != rho.n_qubits:
-        raise InvalidPartitionError(
-            f"cut is over {cut.n_qubits} qubits, state has {rho.n_qubits}"
-        )
-    eigs = hermitian_eigenvalues(partial_transpose(rho, cut.p1))
+    eigs = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
     negatives = eigs[eigs < PSD_FLOOR]
     return NegativityReport(
         cut=cut,
@@ -226,7 +227,7 @@ def closed_form(
 def distillability_check(rho: DensityMatrix) -> DistillabilityVerdict:
     """Check the all-cuts-NPT necessary condition for n-partite distillability."""
     reports = [negativity_oracle(rho, cut) for cut in enumerate_cuts(rho.n_qubits)]
-    ppt = tuple(r.cut for r in reports if r.min_eigenvalue >= PSD_FLOOR)
+    ppt = tuple(r.cut for r in reports if not r.npt)
     worst = max(reports, key=lambda r: r.min_eigenvalue).cut
     return DistillabilityVerdict(
         all_cuts_npt=not ppt,
@@ -260,8 +261,7 @@ def critical_gamma(
 
     def is_npt(gamma: float) -> bool:
         agg = AggregateDephasing.homogeneous(family.n_qubits, gamma)
-        report = negativity_oracle(apply_dephasing(base, agg), cut)
-        return report.min_eigenvalue < PSD_FLOOR
+        return negativity_oracle(apply_dephasing(base, agg), cut).npt
 
     lo_npt = is_npt(lo)
     if lo_npt == is_npt(hi):

@@ -89,10 +89,15 @@ def make_state(family: StateFamily) -> np.ndarray:
 
 
 def to_density(psi: np.ndarray) -> DensityMatrix:
-    """Outer product of a normalized state vector, as a DensityMatrix."""
+    """Outer product of a normalized state vector, as a DensityMatrix.
+
+    Only the ket is checked, before the dim x dim product is allocated.
+    """
     psi = np.asarray(psi, dtype=np.complex128)
     norm_check(psi)
     n = int(psi.size).bit_length() - 1
     if 2**n != psi.size:
         raise InvalidSizeError(f"amplitude count {psi.size} is not a power of 2")
-    return DensityMatrix(n, outer(psi))
+    if n > MAX_QUBITS:
+        raise CapacityError(f"{n} qubits exceeds the dense capacity of {MAX_QUBITS}")
+    return DensityMatrix._unchecked(n, outer(psi))

@@ -12,8 +12,6 @@ TRACE_TOL = 1e-12
 # threshold below which a partial-transpose eigenvalue counts as genuinely
 # negative (NPT).
 PSD_FLOOR = -1e-10
-# Max-norm Hermiticity bound required of eigensolver inputs.
-EIGENSOLVER_INPUT_TOL = 1e-10
 # Allowed deviation of a state-vector squared norm from 1.
 NORMALIZATION_TOL = 1e-12
 # Bracket width at which the critical-strength bisection stops.

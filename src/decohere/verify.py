@@ -35,7 +35,6 @@ from .linalg import (
     DensityMatrix,
     QubitSubset,
     _qubit_view,
-    hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
 )
@@ -174,7 +173,7 @@ def check_pt_spectrum_range(max_n: int, rng: np.random.Generator) -> PropertyRes
         ]
         for rho in candidates:
             for cut in enumerate_cuts(n):
-                eigs = hermitian_eigenvalues(partial_transpose(rho, cut.p1))
+                eigs = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
                 worst = max(worst, float(-0.5 - eigs[0]), float(eigs[-1] - 1.0))
     return PropertyResult("pt_spectrum_range", worst <= 1e-9, worst, 1e-9)
 
@@ -255,7 +254,7 @@ def check_dephasing_preserves_density(max_n: int, rng: np.random.Generator) -> P
             out = apply_dephasing(rho, random_aggregate(rng, n))
             worst = max(worst, np.abs(np.diag(out.mat) - np.diag(rho.mat)).max())
             worst = max(worst, np.abs(out.mat - out.mat.conj().T).max())
-            smallest = hermitian_eigenvalues(out.mat)[0]
+            smallest = np.linalg.eigvalsh(out.mat)[0]
             worst = max(worst, max(0.0, float(-smallest)))
     return PropertyResult("dephasing_preserves_density", worst <= 1e-10, worst, 1e-10)
 

@@ -6,12 +6,12 @@ test also prints a one-line metric summary (visible with ``-s`` or in the
 captured output).
 """
 
-import subprocess
-import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
+from conftest import run_python
 
 from decohere import (
     AggregateDephasing,
@@ -324,15 +324,13 @@ def test_criterion_9_channel_sanity_and_self_verification():
         worst_compose = max(worst_compose, err)
         assert err <= 1e-12
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "decohere", "verify", "--max-n", "5"],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_python("-m", "decohere", "verify", "--max-n", "5", timeout=300)
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert elapsed < 300.0
+    # seed 7 is the default; every report line is pinned
+    golden = Path(__file__).parent / "data" / "golden" / "verify_n5_seed7.txt"
+    assert proc.stdout == golden.read_text()
     print(
         f"[criterion 9] PASS - 500 channel-sanity cases (trace/Hermiticity/"
         f"PSD/composition, worst composition gap {worst_compose:.3e}); "

@@ -147,8 +147,9 @@ class TestCollisionParams:
 
 class TestMicroSpecValidation:
     def test_rejects_unnormalized_kets(self):
-        with pytest.raises(NormalizationError):
-            MicroCollisionSpec(psi=2 * KET0, phi_ket=KET1, xi=MIXED)
+        for bad in (2 * KET0, np.array([np.nan, 0.0])):
+            with pytest.raises(NormalizationError):
+                MicroCollisionSpec(psi=bad, phi_ket=KET1, xi=MIXED)
 
     def test_rejects_multiqubit_environment(self):
         with pytest.raises(InvalidSizeError):

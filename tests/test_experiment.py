@@ -1,10 +1,9 @@
 import io
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_python
 
 from decohere import ConfigError, Family
 from decohere.experiment import (
@@ -378,13 +377,7 @@ class TestGoldenCSV:
 
 class TestCLI:
     def run_cli(self, *args, cwd=None):
-        return subprocess.run(
-            [sys.executable, "-m", "decohere", *args],
-            capture_output=True,
-            text=True,
-            cwd=cwd,
-            timeout=120,
-        )
+        return run_python("-m", "decohere", *args, cwd=cwd)
 
     def write_yaml(self, tmp_path, text):
         path = tmp_path / "config.yaml"
@@ -427,13 +420,18 @@ class TestCLI:
         assert "lambda" in proc.stderr
 
     def test_non_finite_phase_exits_2(self, tmp_path):
-        path = self.write_yaml(
-            tmp_path,
-            "family: ghz\nn_qubits: 2\nschedule:\n  K: 1\n  lambda: 0.9\n  phi: .nan\n",
-        )
-        proc = self.run_cli("single", "--config", path)
-        assert proc.returncode == 2
-        assert "decohere: schedule.phi" in proc.stderr
+        # a NaN phi, and a finite phi whose product with K overflows
+        for schedule in (
+            "K: 1\n  lambda: 0.9\n  phi: .nan",
+            "K: 10\n  lambda: 0.9\n  phi: 1.0e+308",
+        ):
+            path = self.write_yaml(
+                tmp_path, f"family: ghz\nn_qubits: 2\nschedule:\n  {schedule}\n"
+            )
+            proc = self.run_cli("single", "--config", path)
+            assert proc.returncode == 2
+            assert "decohere: schedule.phi" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_missing_config_file_exits_2(self, tmp_path):
         proc = self.run_cli("single", "--config", str(tmp_path / "absent.yaml"))

@@ -13,7 +13,6 @@ from decohere import (
     SymmetryViolationError,
     apply_dephasing,
     enumerate_cuts,
-    hermitian_eigenvalues,
     kron,
     partial_trace,
     partial_transpose,
@@ -24,7 +23,6 @@ I2 = np.eye(2)
 P0 = np.diag([1.0, 0.0])
 P1 = np.diag([0.0, 1.0])
 S_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def pt_reference(mat, n, members):
@@ -167,6 +165,9 @@ class TestPartialTranspose:
             # the same index swap again, by the reference
             assert np.array_equal(pt_reference(once, n, cut.p1.members), rho.mat)
             assert np.abs(once - once.conj().T).max() < 1e-15
+            # PT only moves entries: its Hermiticity defect is exactly rho's
+            defect = np.abs(rho.mat - rho.mat.conj().T).max()
+            assert np.abs(once - once.conj().T).max() == defect
             assert abs(once.trace() - 1.0) < 1e-14
 
     @pytest.mark.parametrize("members", [{1}, {10}, {1, 2, 3, 4, 5}, {2, 4, 6, 8, 10}])
@@ -182,40 +183,22 @@ class TestPartialTranspose:
         joint = density(kron(rho_a.mat, rho_b.mat))
         pt = partial_transpose(joint, QubitSubset(2, frozenset({1})))
         assert np.abs(pt - kron(rho_a.mat.T, rho_b.mat)).max() < 1e-15
-        assert hermitian_eigenvalues(pt)[0] > -1e-12
+        assert np.linalg.eigvalsh(pt)[0] > -1e-12
 
     def test_ghz2_spectrum(self):
         from decohere import make_ghz, to_density
 
         pt = partial_transpose(to_density(make_ghz(2)), QubitSubset(2, frozenset({1})))
-        eigs = hermitian_eigenvalues(pt)
+        eigs = np.linalg.eigvalsh(pt)
         assert np.abs(eigs - np.array([-0.5, 0.5, 0.5, 0.5])).max() < 1e-12
 
 
 class TestHermitianEigenvalues:
-    def test_sorts_ascending(self):
-        eigs = hermitian_eigenvalues(np.diag([3.0, -1.0, 2.0]))
-        assert np.allclose(eigs, [-1.0, 2.0, 3.0], atol=1e-14)
-
-    def test_pauli_x(self):
-        assert np.allclose(hermitian_eigenvalues(PAULI_X), [-1.0, 1.0], atol=1e-14)
-
     def test_dephased_ghz3_minimum(self):
-        from decohere import AggregateDephasing, apply_dephasing, make_ghz, to_density
+        from decohere import AggregateDephasing, make_ghz, negativity_oracle, to_density
 
         rho = apply_dephasing(
             to_density(make_ghz(3)), AggregateDephasing.homogeneous(3, 0.5)
         )
-        pt = partial_transpose(rho, QubitSubset(3, frozenset({1})))
-        assert abs(hermitian_eigenvalues(pt)[0] - (-0.0625)) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(SymmetryViolationError):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(17)
-        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        h = a + a.conj().T
-        first = hermitian_eigenvalues(h)
-        assert np.array_equal(first, hermitian_eigenvalues(h.copy()))
+        report = negativity_oracle(rho, BipartiteCut.from_members(3, {1}))
+        assert abs(report.min_eigenvalue - (-0.0625)) < 1e-12

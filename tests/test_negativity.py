@@ -112,6 +112,11 @@ class TestOracle:
         assert report.min_eigenvalue > -1e-12
         assert report.negativity_sum == 0.0
 
+    def test_rejects_mismatched_cut(self):
+        # raised by the partial transpose; the oracle has no check of its own
+        with pytest.raises(InvalidPartitionError):
+            negativity_oracle(to_density(make_ghz(3)), cut_of(2, {1}))
+
     @given(st.integers(0, 10**6), st.integers(2, 4))
     def test_negativity_sum_bounds_min_eigenvalue(self, seed, n):
         rng = np.random.default_rng(seed)

@@ -1,27 +1,13 @@
 """The runnable experiments under scripts/, each in its own interpreter."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
+from conftest import ROOT, run_python
 
 from decohere.experiment import CSV_HEADER
 
-ROOT = Path(__file__).resolve().parent.parent
-
 
 def run_script(name, *args, timeout=120):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
+    return run_python(str(ROOT / "scripts" / name), *args, timeout=timeout)
 
 
 def test_ghz_decay_sweep_fits_the_slope(tmp_path):

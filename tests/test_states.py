@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from decohere import (
+    CapacityError,
     Family,
     InvalidSizeError,
     NormalizationError,
@@ -148,5 +151,18 @@ class TestFamilyPlumbing:
             assert abs(purity - 1.0) < 1e-12
 
     def test_to_density_rejects_unnormalized(self):
-        with pytest.raises(NormalizationError):
-            to_density(np.array([1.0, 1.0], dtype=complex))
+        for bad in ([1.0, 1.0], [np.nan, 0.0]):
+            with pytest.raises(NormalizationError):
+                to_density(np.array(bad, dtype=complex))
+
+    def test_to_density_checks_capacity_before_allocating(self):
+        psi = make_ghz(12)
+        psi = np.concatenate([psi, np.zeros_like(psi)])  # a 13-qubit ket
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                to_density(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the 2**13 x 2**13 product would be 1 GiB
