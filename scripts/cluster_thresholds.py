@@ -1,10 +1,13 @@
 """Locate the dephasing thresholds where linear cluster states lose NPT cuts.
 
 Unlike GHZ and W states, cluster chains become PPT across individual cuts at
-nonzero homogeneous gamma. This script bisects the oracle for every cut of
-chains up to --max-n and prints the thresholds; for the 2- and 3-qubit chains
-it also checks them against the closed forms (sqrt(2)-1, and the root of
-g^3 + g^2 + 3g - 1 for the middle-qubit cut).
+nonzero homogeneous gamma. This script bisects the oracle's NPT verdict for
+every cut of chains up to --max-n and prints the thresholds; for the 2- and
+3-qubit chains it also checks them against the closed forms (sqrt(2)-1, and
+the root of g^3 + g^2 + 3g - 1 for the middle-qubit cut). Each bisection
+step masks one precomputed partial transpose and factors it by Cholesky
+instead of dephasing the state and solving for its eigenvalues (see
+decohere.negativity.critical_gamma).
 
 Usage:
     python3 scripts/cluster_thresholds.py [--max-n 5] [--out thresholds.csv]
@@ -49,6 +52,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not 2 <= args.max_n <= MAX_QUBITS:
         parser.error(f"--max-n must be in [2, {MAX_QUBITS}]")
+    try:  # opened before any chain is bisected, so a bad path fails fast
+        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
+    except OSError as exc:
+        parser.error(f"--out: cannot write {args.out}: {exc.strerror}")
 
     rows = []
     for n in range(2, args.max_n + 1):
@@ -69,8 +76,8 @@ def main(argv=None):
             residual = middle**3 + middle**2 + 3 * middle - 1.0
             print(f"  middle-qubit cut cubic residual: {residual:.2e}")
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    if out:
+        with out as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["n_qubits", "cut_bitmask", "cut_human", "critical_gamma"])
             for n, mask, human, gamma in rows:

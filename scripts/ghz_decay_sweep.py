@@ -40,6 +40,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not 3 <= args.max_n <= MAX_QUBITS:
         parser.error(f"--max-n must be in [3, {MAX_QUBITS}]; fitting a slope needs 3 sizes")
+    try:  # opened before the sweep runs, so a bad path fails fast
+        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
+    except OSError as exc:
+        parser.error(f"--out: cannot write {args.out}: {exc.strerror}")
 
     all_rows = []
     print(f"{'strength':>9} {'collisions':>10} {'slope':>12} {'expected':>12} {'misfit':>10}")
@@ -56,8 +60,8 @@ def main(argv=None):
                 f"{expected:>12.8f} {abs(slope - expected):>10.2e}"
             )
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    if out:
+        with out as fh:
             write_csv(all_rows, fh)
         print(f"wrote {len(all_rows)} rows to {args.out}")
     return 0

@@ -57,6 +57,9 @@ from .tolerances import MAX_QUBITS
 # "cuts: all" refuses to expand beyond this many qubits (511 cuts at 10);
 # past that an explicit list is required.
 ALL_CUTS_LIMIT = 10
+# Largest collision count K a schedule or a K sweep accepts. An integer past
+# the float range would make lambda**K raise OverflowError.
+MAX_COLLISIONS = 10**9
 
 _FAMILY_NAMES = {f.value: f for f in Family}
 
@@ -137,8 +140,10 @@ def _parse_schedule(data, n_qubits: int):
 
     _no_extras(data, {"K", "lambda", "phi"}, "schedule")
     k = _as_int(_want(data, "K", "schedule"), "schedule.K")
-    if k < 0:
-        raise ConfigError(f"schedule.K: collision count cannot be negative, got {k}")
+    if not 0 <= k <= MAX_COLLISIONS:
+        raise ConfigError(
+            f"schedule.K: collision count must be in [0, {MAX_COLLISIONS}], got {k}"
+        )
     strength = _as_real(_want(data, "lambda", "schedule"), "schedule.lambda")
     if not 0.0 <= strength <= 1.0:
         raise ConfigError(f"schedule.lambda: must be in [0, 1], got {strength}")
@@ -217,7 +222,7 @@ def _parse_sweep(data, schedule) -> tuple[str, tuple]:
     else:
         values = tuple(_as_int(v, f"sweep.values[{i}]") for i, v in enumerate(raw))
         low = 0 if parameter == "K" else 2
-        high = 10**9 if parameter == "K" else MAX_QUBITS
+        high = MAX_COLLISIONS if parameter == "K" else MAX_QUBITS
         for i, v in enumerate(values):
             if not low <= v <= high:
                 raise ConfigError(

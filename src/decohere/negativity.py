@@ -5,7 +5,10 @@ has a negative eigenvalue (NPT); a necessary condition for full n-partite
 distillability is NPT across *every* cut. This module enumerates cuts,
 computes the exact PT spectrum (the oracle), evaluates the closed-form
 predictions available for the GHZ, W, and short linear-cluster families, and
-locates critical dephasing strengths by bisection on the oracle.
+locates critical dephasing strengths by bisection. The bisection reads the
+oracle's NPT verdict without running it: homogeneous dephasing of the PT is
+a fixed mask, and a Cholesky factorization settles the sign of the smallest
+eigenvalue (see ``critical_gamma``).
 
 Two scalar summaries of a PT spectrum are reported side by side:
 
@@ -24,12 +27,13 @@ negativity sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .channel import AggregateDephasing, apply_dephasing
+from .channel import AggregateDephasing
 from .errors import BracketError, FormulaUnavailableError, InvalidPartitionError, InvalidSizeError
-from .linalg import DensityMatrix, QubitSubset, partial_transpose
+from .linalg import DensityMatrix, QubitSubset, _qubit_view, partial_transpose
 from .states import Family, StateFamily, make_state, to_density
 from .tolerances import BISECTION_WIDTH, PSD_FLOOR
 
@@ -236,6 +240,53 @@ def distillability_check(rho: DensityMatrix) -> DistillabilityVerdict:
     )
 
 
+def _differing_qubits(n_qubits: int) -> np.ndarray:
+    """``d[r, c]``: the number of qubits whose bits differ between basis
+    indices r and c, built one qubit at a time on the tensor view."""
+    n = n_qubits
+    d = np.zeros((2**n, 2**n), dtype=np.uint8)
+    tensor, axes = _qubit_view(d, n)
+    differ = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    for row, col in axes.values():
+        shape = [1] * (2 * n)
+        shape[row] = shape[col] = 2
+        tensor += differ.reshape(shape)
+    return d
+
+
+def _homogeneous_npt(family: StateFamily, cut: BipartiteCut) -> Callable[[float], bool]:
+    """The oracle's NPT verdict on ``cut`` as a function of a homogeneous,
+    phase-free gamma, without dephasing the state or solving for eigenvalues.
+
+    Such dephasing multiplies entry (r, c) by ``gamma**d[r, c]``, with ``d``
+    from :func:`_differing_qubits`. A partial transpose swaps row and column
+    bits of the transposed qubits, which leaves ``d`` as it is, so the PT of
+    the dephased state is that same mask times the PT of the pure state,
+    built once here. The mask is 1 on the diagonal, so the shift by
+    ``-PSD_FLOOR * I`` is applied once, before masking. The minimum
+    eigenvalue is below ``PSD_FLOOR`` exactly when the shifted matrix is not
+    positive definite, i.e. when its Cholesky factorization fails; the shift
+    also keeps the exact zero eigenvalues of a PSD partial transpose from
+    failing it.
+    """
+    pt = partial_transpose(to_density(make_state(family)), cut.p1)
+    # Every family ket is real, so its PT is real symmetric.
+    assert not pt.imag.any(), f"{family.kind.value} partial transpose is not real"
+    shifted = np.ascontiguousarray(pt.real)
+    shifted.flat[:: shifted.shape[0] + 1] -= PSD_FLOOR
+    differ = _differing_qubits(family.n_qubits)
+    powers = np.arange(family.n_qubits + 1)
+
+    def is_npt(gamma: float) -> bool:
+        try:
+            np.linalg.cholesky((gamma**powers)[differ] * shifted)
+        except np.linalg.LinAlgError:
+            return True
+        return False
+
+    return is_npt
+
+
 def critical_gamma(
     family: StateFamily,
     cut: BipartiteCut,
@@ -247,7 +298,10 @@ def critical_gamma(
     All qubits share one gamma (no phase — phases never move eigenvalues).
     The predicate is the oracle's NPT verdict for the given cut, so this
     works for any family and size the oracle can handle, including cluster
-    chains too long for a closed form. ``lo`` and ``hi`` must straddle the
+    chains too long for a closed form. Each step reaches that verdict with
+    one mask multiply and one Cholesky factorization of the shifted partial
+    transpose instead of a dephasing and an eigensolve (see
+    :func:`_homogeneous_npt`). ``lo`` and ``hi`` must straddle the
     transition or BracketError is raised.
     """
     if cut.n_qubits != family.n_qubits:
@@ -257,12 +311,7 @@ def critical_gamma(
     if not 0.0 <= lo < hi <= 1.0:
         raise BracketError(f"bracket [{lo}, {hi}] is not an ordered subinterval of [0, 1]")
 
-    base = to_density(make_state(family))
-
-    def is_npt(gamma: float) -> bool:
-        agg = AggregateDephasing.homogeneous(family.n_qubits, gamma)
-        return negativity_oracle(apply_dephasing(base, agg), cut).npt
-
+    is_npt = _homogeneous_npt(family, cut)
     lo_npt = is_npt(lo)
     if lo_npt == is_npt(hi):
         raise BracketError(

@@ -8,6 +8,7 @@ from conftest import run_python
 from decohere import ConfigError, Family
 from decohere.experiment import (
     CSV_HEADER,
+    MAX_COLLISIONS,
     load_config,
     parse_config,
     run_single,
@@ -76,6 +77,8 @@ class TestParsing:
             {"n_qubits": "three"},
             {"schedule": {"K": 2}},
             {"schedule": {"K": -1, "lambda": 0.5}},
+            {"schedule": {"K": MAX_COLLISIONS + 1, "lambda": 0.5}},
+            {"schedule": {"K": 10**400, "lambda": 0.5}},
             {"schedule": {"K": 2, "lambda": 1.5}},
             {"schedule": {"K": 2, "lambda": -0.1}},
             {"schedule": {"K": True, "lambda": 0.5}},
@@ -432,6 +435,16 @@ class TestCLI:
             assert proc.returncode == 2
             assert "decohere: schedule.phi" in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    def test_huge_collision_count_exits_2(self, tmp_path):
+        # an integer K past the float range would overflow lambda**K
+        path = self.write_yaml(
+            tmp_path, f"family: ghz\nn_qubits: 2\nschedule:\n  K: {'9' * 401}\n  lambda: 0.9\n"
+        )
+        proc = self.run_cli("single", "--config", path)
+        assert proc.returncode == 2
+        assert "decohere: schedule.K" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_config_file_exits_2(self, tmp_path):
         proc = self.run_cli("single", "--config", str(tmp_path / "absent.yaml"))

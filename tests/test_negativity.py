@@ -21,13 +21,14 @@ from decohere import (
     ghz_negativity_formula,
     make_cluster,
     make_ghz,
+    make_state,
     make_w,
     negativity_oracle,
     partial_trace,
     to_density,
     w_negativity_formula,
 )
-from decohere.negativity import closed_form
+from decohere.negativity import _homogeneous_npt, closed_form
 from decohere.verify import random_density
 
 SQRT2 = np.sqrt(2.0)
@@ -305,6 +306,24 @@ class TestDistillability:
         assert not verdict.all_cuts_npt
         assert verdict.worst_cut.p1.members != frozenset({1, 3})
         assert cut_of(3, {1, 3}) not in verdict.ppt_cuts
+
+
+class TestHomogeneousNPT:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_matches_oracle_verdict(self, kind, n):
+        # the bisection predicate against dephasing plus the oracle, every
+        # cut, gamma = 0 (where 0**0 must keep the diagonal) through 1
+        family = StateFamily(kind, n)
+        base = to_density(make_state(family))
+        for cut in enumerate_cuts(n):
+            is_npt = _homogeneous_npt(family, cut)
+            for gamma in np.linspace(0.0, 1.0, 21):
+                rho = apply_dephasing(base, homog(n, gamma))
+                assert is_npt(float(gamma)) == negativity_oracle(rho, cut).npt, (
+                    cut.human(),
+                    gamma,
+                )
 
 
 class TestCriticalGamma:

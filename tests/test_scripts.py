@@ -6,8 +6,11 @@ from conftest import ROOT, run_python
 from decohere.experiment import CSV_HEADER
 
 
-def run_script(name, *args, timeout=120):
-    return run_python(str(ROOT / "scripts" / name), *args, timeout=timeout)
+GOLDEN = ROOT / "tests" / "data" / "golden"
+
+
+def run_script(name, *args, timeout=120, cwd=None):
+    return run_python(str(ROOT / "scripts" / name), *args, timeout=timeout, cwd=cwd)
 
 
 def test_ghz_decay_sweep_fits_the_slope(tmp_path):
@@ -37,3 +40,27 @@ def test_max_n_past_dense_capacity_is_a_usage_error(name):
     assert proc.returncode == 2
     assert "--max-n" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cluster_thresholds_match_golden(tmp_path):
+    # stdout and --out CSV of --max-n 6, generated with the eigensolver
+    # bisection predicate
+    proc = run_script(
+        "cluster_thresholds.py", "--max-n", "6", "--out", "thresholds_n6.csv", cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "thresholds_n6.txt").read_text()
+    assert (tmp_path / "thresholds_n6.csv").read_bytes() == (
+        GOLDEN / "thresholds_n6.csv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["ghz_decay_sweep.py", "cluster_thresholds.py"])
+def test_unwritable_out_is_a_usage_error(name, tmp_path):
+    # rejected before anything is computed or printed
+    missing = tmp_path / "no-dir" / "x.csv"
+    proc = run_script(name, "--max-n", "4", "--out", str(missing), timeout=30)
+    assert proc.returncode == 2
+    assert "--out" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
