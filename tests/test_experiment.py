@@ -5,19 +5,33 @@ import numpy as np
 import pytest
 from conftest import run_python
 
-from decohere import ConfigError, Family
+from decohere import (
+    ConfigError,
+    Family,
+    FormulaUnavailableError,
+    StateFamily,
+    apply_dephasing,
+    make_state,
+    partial_transpose,
+    to_density,
+)
 from decohere.experiment import (
     CSV_HEADER,
     MAX_COLLISIONS,
+    ResultRow,
     load_config,
     parse_config,
     run_single,
     run_sweep,
     write_csv,
 )
+from decohere.negativity import closed_form
+from decohere.tolerances import PSD_FLOOR
 
 SQRT2 = np.sqrt(2.0)
 GOLDEN = Path(__file__).parent / "data" / "golden"
+SINGLE_GOLDENS = ["ghz4", "w4", "cluster4", "cluster8", "w10"]
+SWEEP_GOLDENS = ["w5_lambda", "ghz4_k", "cluster_n"]
 
 
 def base_config(**overrides):
@@ -38,6 +52,40 @@ def csv_text(rows):
 
 def masks(cuts):
     return [cut.cli_bitmask for cut in cuts]
+
+
+def dense_rows(config):
+    """The rows of ``config`` the long way: the explicit dephased density
+    matrix of each point and a full eigensolve of each partial transpose."""
+    rows = []
+    for agg, cuts in config.points:
+        family = StateFamily(config.family, agg.n_qubits)
+        rho = apply_dephasing(to_density(make_state(family)), agg)
+        for cut in cuts:
+            eigs = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+            negatives = eigs[eigs < PSD_FLOOR]
+            quantities = {
+                "min_eigenvalue": float(eigs[0]),
+                "negativity_sum": float(-negatives.sum()) if negatives.size else 0.0,
+            }
+            try:
+                value, predicts = closed_form(family, agg, cut)
+                formula, error = value, abs(quantities[predicts] - value)
+            except FormulaUnavailableError:
+                formula = error = None
+            rows.append(
+                ResultRow(
+                    config.family.value,
+                    agg.n_qubits,
+                    cut,
+                    tuple(float(g) for g in agg.gamma),
+                    quantities["min_eigenvalue"],
+                    quantities["negativity_sum"],
+                    formula,
+                    error,
+                )
+            )
+    return rows
 
 
 class TestParsing:
@@ -367,12 +415,33 @@ class TestGoldenCSV:
     Phi = K*phi mod 2*pi arithmetic for lambda, K and n_qubits sweeps.
     """
 
-    @pytest.mark.parametrize("name", ["ghz4", "w4", "cluster4", "cluster8", "w10"])
+    @pytest.mark.parametrize("name", SINGLE_GOLDENS + SWEEP_GOLDENS)
+    def test_rows_match_dense_oracle(self, name):
+        # every row of the code under test against the explicit dense route
+        config = load_config(str(GOLDEN / f"{name}.yaml"))
+        run = run_single if config.sweep is None else run_sweep
+        got, want = run(config), dense_rows(config)
+        assert len(got) == len(want)
+        for row, ref in zip(got, want):
+            assert (row.family, row.n_qubits, row.cut, row.gammas) == (
+                ref.family,
+                ref.n_qubits,
+                ref.cut,
+                ref.gammas,
+            )
+            for field in ("min_eigenvalue", "negativity_sum", "formula_value", "abs_error"):
+                value, expected = getattr(row, field), getattr(ref, field)
+                if expected is None:
+                    assert value is None, (row.cut.human(), field)
+                else:
+                    assert abs(value - expected) <= 1e-13, (row.cut.human(), field)
+
+    @pytest.mark.parametrize("name", SINGLE_GOLDENS)
     def test_rows_byte_identical(self, name):
         expected = (GOLDEN / f"{name}.csv").read_bytes().decode()
         assert csv_text(run_single(load_config(str(GOLDEN / f"{name}.yaml")))) == expected
 
-    @pytest.mark.parametrize("name", ["w5_lambda", "ghz4_k", "cluster_n"])
+    @pytest.mark.parametrize("name", SWEEP_GOLDENS)
     def test_sweep_rows_byte_identical(self, name):
         expected = (GOLDEN / f"{name}.csv").read_bytes().decode()
         assert csv_text(run_sweep(load_config(str(GOLDEN / f"{name}.yaml")))) == expected
