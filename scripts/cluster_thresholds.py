@@ -5,8 +5,8 @@ nonzero homogeneous gamma. This script bisects the oracle's NPT verdict for
 every cut of chains up to --max-n and prints the thresholds; for the 2- and
 3-qubit chains it also checks them against the closed forms (sqrt(2)-1, and
 the root of g^3 + g^2 + 3g - 1 for the middle-qubit cut). Each bisection
-step masks one precomputed partial transpose and factors it by Cholesky
-instead of dephasing the state and solving for its eigenvalues (see
+step reads the chain's structured partial-transpose spectrum, one
+Walsh-Hadamard transform of 2^n numbers, and builds no matrix (see
 decohere.negativity.critical_gamma).
 
 Usage:

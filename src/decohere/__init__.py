@@ -3,8 +3,8 @@
 The library builds GHZ, W, and linear-cluster states, decoheres them with
 per-qubit collision channels (microscopic controlled-unitary form or the
 reduced dephasing map), and measures what survives via partial-transpose
-negativity across every bipartite cut — exact eigensolver oracle alongside
-the closed forms available for each family.
+negativity across every bipartite cut — exact PT spectra (structured per
+family, dense for any state) alongside each family's closed forms.
 """
 
 from .channel import (

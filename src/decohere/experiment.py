@@ -28,8 +28,9 @@ Phi = K*phi mod 2*pi for every qubit of the homogeneous form, the listed
 values for the explicit form) together with the cuts to report, resolved
 for that point's qubit count.
 
-Result rows carry both oracle quantities plus the closed form where one
-exists. ``abs_error`` compares the formula against the oracle quantity the
+Result rows carry both oracle quantities, read from the family's structured
+partial-transpose spectrum (no density matrix is built), plus the closed
+form where one exists. ``abs_error`` compares the formula against the oracle quantity the
 formula predicts: the signed minimum eigenvalue for GHZ and W, the
 negativity sum for cluster chains (see ``negativity.closed_form``).
 """
@@ -43,7 +44,7 @@ from typing import IO, Union
 import numpy as np
 import yaml
 
-from .channel import TWO_PI, AggregateDephasing, apply_dephasing
+from .channel import TWO_PI, AggregateDephasing
 from .errors import ConfigError, DecohereError, FormulaUnavailableError
 from .negativity import (
     BipartiteCut,
@@ -51,7 +52,7 @@ from .negativity import (
     enumerate_cuts,
     negativity_oracle,
 )
-from .states import Family, StateFamily, make_state, to_density
+from .states import Family, StateFamily
 from .tolerances import MAX_QUBITS
 
 # "cuts: all" refuses to expand beyond this many qubits (511 cuts at 10);
@@ -299,14 +300,12 @@ class ResultRow:
 def _point_rows(
     kind: Family, agg: AggregateDephasing, cuts: tuple[BipartiteCut, ...]
 ) -> list[ResultRow]:
-    # One point per call, so its density matrix is freed before the next is built.
     family = StateFamily(kind, agg.n_qubits)
-    rho = apply_dephasing(to_density(make_state(family)), agg)
     gammas = tuple(float(g) for g in agg.gamma)
 
     rows = []
     for cut in cuts:
-        report = negativity_oracle(rho, cut)
+        report = negativity_oracle((family, agg), cut)
         try:
             value, predicts = closed_form(family, agg, cut)
             oracle_side = getattr(report, predicts)

@@ -5,10 +5,17 @@ has a negative eigenvalue (NPT); a necessary condition for full n-partite
 distillability is NPT across *every* cut. This module enumerates cuts,
 computes the exact PT spectrum (the oracle), evaluates the closed-form
 predictions available for the GHZ, W, and short linear-cluster families, and
-locates critical dephasing strengths by bisection. The bisection reads the
-oracle's NPT verdict without running it: homogeneous dephasing of the PT is
-a fixed mask, and a Cholesky factorization settles the sign of the smallest
-eigenvalue (see ``critical_gamma``).
+locates critical dephasing strengths by bisection.
+
+The oracle has two paths, chosen by what it is given. A ``DensityMatrix``
+gets a dense partial transpose and eigensolve. A family state under an
+``AggregateDephasing`` gets its spectrum written down from the family's
+structure, with no 2^n x 2^n matrix (Hein, Eisert, Briegel, PRA 69, 062311
+(2004)): a dephased graph state stays diagonal in the graph-state basis and
+the PT only flips stabilizer signs, so the cluster spectrum is one
+Walsh-Hadamard transform; the W PT is block diagonal with exactly one
+negative eigenvalue; the GHZ spectrum is {1/2, 1/2, +-prod(gamma)/2} plus
+zeros. The bisection reads the structured path's verdict.
 
 Two scalar summaries of a PT spectrum are reported side by side:
 
@@ -16,8 +23,8 @@ Two scalar summaries of a PT spectrum are reported side by side:
 * ``negativity_sum`` — the sum of |negative eigenvalues|, the standard
   negativity.
 
-They coincide when exactly one eigenvalue is negative (GHZ always; W in
-every regime we have probed; cluster chains on their middle cut), but they
+They coincide when exactly one eigenvalue is negative (GHZ and W always;
+cluster chains on their middle cut), but they
 genuinely differ on the outer cuts of a 3-qubit cluster chain, where the
 negativity is split across two eigenvalues. The GHZ and W closed forms below
 predict the signed minimum eigenvalue; the cluster closed form predicts the
@@ -27,14 +34,14 @@ negativity sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Union
 
 import numpy as np
 
 from .channel import AggregateDephasing
 from .errors import BracketError, FormulaUnavailableError, InvalidPartitionError, InvalidSizeError
-from .linalg import DensityMatrix, QubitSubset, _qubit_view, partial_transpose
-from .states import Family, StateFamily, make_state, to_density
+from .linalg import DensityMatrix, QubitSubset, partial_transpose
+from .states import Family, StateFamily
 from .tolerances import BISECTION_WIDTH, PSD_FLOOR
 
 
@@ -130,19 +137,92 @@ def enumerate_cuts(n_qubits: int) -> list[BipartiteCut]:
     ]
 
 
-def negativity_oracle(rho: DensityMatrix, cut: BipartiteCut) -> NegativityReport:
-    """Exact PT spectrum summary for one cut.
-
-    Eigenvalues below ``PSD_FLOOR`` count as negative; anything in
-    ``[PSD_FLOOR, 0]`` is eigensolver noise and treated as zero.
-    """
-    eigs = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+def _report(cut: BipartiteCut, eigs: np.ndarray) -> NegativityReport:
+    """Summarize a PT spectrum. Eigenvalues below ``PSD_FLOOR`` count as
+    negative; anything in ``[PSD_FLOOR, 0]`` is rounding noise and treated
+    as zero."""
+    eigs = np.sort(eigs)
     negatives = eigs[eigs < PSD_FLOOR]
     return NegativityReport(
         cut=cut,
         min_eigenvalue=float(eigs[0]),
         negativity_sum=float(-negatives.sum()) if negatives.size else 0.0,
     )
+
+
+def _ghz_spectrum(gamma: np.ndarray, cut: BipartiteCut) -> np.ndarray:
+    """The PT couples |0...0> and |1...1> only through the pair (1_A 0_B,
+    0_A 1_B), whose block has zero diagonal: {1/2, 1/2, +-prod(gamma)/2}."""
+    half = 0.5 * np.prod(gamma)
+    return np.concatenate([[0.5, 0.5, half, -half], np.zeros(2**gamma.size - 4)])
+
+
+def _w_spectrum(gamma: np.ndarray, cut: BipartiteCut) -> np.ndarray:
+    """Block diagonal: the Gram blocks G_AA/n and G_BB/n on the single
+    excitations (G_ij = gamma_i gamma_j, G_ii = 1, positive semidefinite),
+    and the arrow block on span{|0...0>, |e_i + e_j> : i in A, j in B},
+    whose only nonzero eigenvalues are +-(1/n) sqrt(sum_A gamma^2 * sum_B gamma^2)."""
+    n = gamma.size
+    sides = [gamma[[q - 1 for q in part.sorted_members()]] for part in (cut.p1, cut.p2)]
+    blocks = []
+    for g in sides:
+        gram = np.outer(g, g)
+        np.fill_diagonal(gram, 1.0)
+        blocks.append(np.linalg.eigvalsh(gram))
+    arrow = np.sqrt(np.sum(sides[0] ** 2) * np.sum(sides[1] ** 2))
+    return np.concatenate([*blocks, [arrow, -arrow], np.zeros(2**n - n - 2)]) / n
+
+
+def _cluster_spectrum(gamma: np.ndarray, cut: BipartiteCut) -> np.ndarray:
+    """Walsh-Hadamard transform of the stabilizer weights.
+
+    The dephased state is 2^-n sum_s f(s) K^s over the stabilizer products
+    K^s, with f(s) = prod_i gamma_i^s_i. The PT flips the sign of K^s once
+    per crossing edge (i, i+1) with s_i = s_{i+1} = 1, and the K^s stay
+    commuting, so the eigenvalue on the graph-basis ket |t> is
+    2^-n sum_s f(s) (-1)^(s.t). Qubit 1 is the most significant bit of s.
+    """
+    n = gamma.size
+    f = np.ones(1)
+    for g in gamma:
+        f = np.multiply.outer(f, [1.0, g]).ravel()
+    for i in range(1, n):
+        if (i in cut.p1.members) != (i + 1 in cut.p1.members):
+            f.reshape(2 ** (i - 1), 2, 2, -1)[:, 1, 1] *= -1.0
+    for q in range(n):
+        pairs = f.reshape(2**q, 2, -1)
+        f = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]], axis=1).ravel()
+    return f * 2.0**-n
+
+
+_SPECTRA = {Family.GHZ: _ghz_spectrum, Family.W: _w_spectrum, Family.CLUSTER: _cluster_spectrum}
+
+
+def negativity_oracle(
+    state: Union[DensityMatrix, tuple[StateFamily, AggregateDephasing]], cut: BipartiteCut
+) -> NegativityReport:
+    """Exact PT spectrum summary for one cut.
+
+    ``state`` is either a ``DensityMatrix``, whose partial transpose is
+    built and solved densely, or a ``(StateFamily, AggregateDephasing)``
+    pair: the family state under that dephasing, whose PT spectrum is
+    written down from the family's structure without building any matrix.
+    Phases are local Rz rotations and do not enter that spectrum.
+    """
+    if isinstance(state, DensityMatrix):
+        return _report(cut, np.linalg.eigvalsh(partial_transpose(state, cut.p1)))
+    family, agg = state
+    if not isinstance(family, StateFamily) or not isinstance(agg, AggregateDephasing):
+        raise TypeError("state must be a DensityMatrix or a (StateFamily, AggregateDephasing) pair")
+    if cut.n_qubits != family.n_qubits:
+        raise InvalidPartitionError(
+            f"cut is over {cut.n_qubits} qubits, family has {family.n_qubits}"
+        )
+    if agg.n_qubits != family.n_qubits:
+        raise InvalidSizeError(
+            f"aggregate covers {agg.n_qubits} qubits, family has {family.n_qubits}"
+        )
+    return _report(cut, _SPECTRA[family.kind](agg.gamma, cut))
 
 
 def ghz_negativity_formula(agg: AggregateDephasing) -> float:
@@ -240,53 +320,6 @@ def distillability_check(rho: DensityMatrix) -> DistillabilityVerdict:
     )
 
 
-def _differing_qubits(n_qubits: int) -> np.ndarray:
-    """``d[r, c]``: the number of qubits whose bits differ between basis
-    indices r and c, built one qubit at a time on the tensor view."""
-    n = n_qubits
-    d = np.zeros((2**n, 2**n), dtype=np.uint8)
-    tensor, axes = _qubit_view(d, n)
-    differ = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    for row, col in axes.values():
-        shape = [1] * (2 * n)
-        shape[row] = shape[col] = 2
-        tensor += differ.reshape(shape)
-    return d
-
-
-def _homogeneous_npt(family: StateFamily, cut: BipartiteCut) -> Callable[[float], bool]:
-    """The oracle's NPT verdict on ``cut`` as a function of a homogeneous,
-    phase-free gamma, without dephasing the state or solving for eigenvalues.
-
-    Such dephasing multiplies entry (r, c) by ``gamma**d[r, c]``, with ``d``
-    from :func:`_differing_qubits`. A partial transpose swaps row and column
-    bits of the transposed qubits, which leaves ``d`` as it is, so the PT of
-    the dephased state is that same mask times the PT of the pure state,
-    built once here. The mask is 1 on the diagonal, so the shift by
-    ``-PSD_FLOOR * I`` is applied once, before masking. The minimum
-    eigenvalue is below ``PSD_FLOOR`` exactly when the shifted matrix is not
-    positive definite, i.e. when its Cholesky factorization fails; the shift
-    also keeps the exact zero eigenvalues of a PSD partial transpose from
-    failing it.
-    """
-    pt = partial_transpose(to_density(make_state(family)), cut.p1)
-    # Every family ket is real, so its PT is real symmetric.
-    assert not pt.imag.any(), f"{family.kind.value} partial transpose is not real"
-    shifted = np.ascontiguousarray(pt.real)
-    shifted.flat[:: shifted.shape[0] + 1] -= PSD_FLOOR
-    differ = _differing_qubits(family.n_qubits)
-    powers = np.arange(family.n_qubits + 1)
-
-    def is_npt(gamma: float) -> bool:
-        try:
-            np.linalg.cholesky((gamma**powers)[differ] * shifted)
-        except np.linalg.LinAlgError:
-            return True
-        return False
-
-    return is_npt
-
-
 def critical_gamma(
     family: StateFamily,
     cut: BipartiteCut,
@@ -296,22 +329,19 @@ def critical_gamma(
     """Bisect for the homogeneous gamma where a cut switches NPT <-> PPT.
 
     All qubits share one gamma (no phase — phases never move eigenvalues).
-    The predicate is the oracle's NPT verdict for the given cut, so this
-    works for any family and size the oracle can handle, including cluster
-    chains too long for a closed form. Each step reaches that verdict with
-    one mask multiply and one Cholesky factorization of the shifted partial
-    transpose instead of a dephasing and an eigensolve (see
-    :func:`_homogeneous_npt`). ``lo`` and ``hi`` must straddle the
-    transition or BracketError is raised.
+    The predicate is the NPT verdict of the structured oracle,
+    ``negativity_oracle((family, AggregateDephasing.homogeneous(n, gamma)), cut)``,
+    so this works for any family and size the oracle can handle, including
+    cluster chains too long for a closed form, and no step builds a matrix.
+    ``lo`` and ``hi`` must straddle the transition or BracketError is raised.
     """
-    if cut.n_qubits != family.n_qubits:
-        raise InvalidPartitionError(
-            f"cut is over {cut.n_qubits} qubits, family has {family.n_qubits}"
-        )
     if not 0.0 <= lo < hi <= 1.0:
         raise BracketError(f"bracket [{lo}, {hi}] is not an ordered subinterval of [0, 1]")
 
-    is_npt = _homogeneous_npt(family, cut)
+    def is_npt(gamma: float) -> bool:
+        agg = AggregateDephasing.homogeneous(family.n_qubits, gamma)
+        return negativity_oracle((family, agg), cut).npt
+
     lo_npt = is_npt(lo)
     if lo_npt == is_npt(hi):
         raise BracketError(

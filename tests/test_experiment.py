@@ -7,6 +7,7 @@ from conftest import run_python
 
 from decohere import (
     ConfigError,
+    DensityMatrix,
     Family,
     FormulaUnavailableError,
     StateFamily,
@@ -25,6 +26,7 @@ from decohere.experiment import (
     run_sweep,
     write_csv,
 )
+from decohere import linalg, negativity
 from decohere.negativity import closed_form
 from decohere.tolerances import PSD_FLOOR
 
@@ -353,6 +355,25 @@ class TestRunSweep:
             run_sweep(parse_config(base_config()))
 
 
+class TestNoDensityMatrix:
+    @pytest.mark.parametrize("family", ["ghz", "w", "cluster"])
+    def test_rows_come_from_the_structured_spectrum(self, family, monkeypatch):
+        # building a density matrix or a partial transpose anywhere on the
+        # single/sweep path fails this test
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the CSV path built a density matrix or a partial transpose")
+
+        monkeypatch.setattr(DensityMatrix, "__init__", forbidden)
+        monkeypatch.setattr(DensityMatrix, "_unchecked", classmethod(forbidden))
+        for module in (linalg, negativity):
+            monkeypatch.setattr(module, "partial_transpose", forbidden)
+        assert len(run_single(parse_config(base_config(family=family, n_qubits=4)))) == 7
+        sweep = base_config(
+            family=family, n_qubits=4, sweep={"parameter": "lambda", "values": [0.3, 0.6]}
+        )
+        assert len(run_sweep(parse_config(sweep))) == 14
+
+
 class TestCSV:
     def test_header_exact(self):
         assert CSV_HEADER == [
@@ -406,12 +427,16 @@ class TestCSV:
 
 
 class TestGoldenCSV:
-    """Stored `decohere single` and `decohere sweep` output, produced once by
-    an earlier release.
+    """Stored `decohere single` and `decohere sweep` output.
 
     Refactors of the numerical kernels or of config parsing must reproduce
-    these bytes exactly; never regenerate the CSVs from the code under test.
-    The sweep files pin the homogeneous gamma = lambda**K and
+    these bytes exactly. The CSVs were regenerated once, when the rows moved
+    from a dense eigensolve of the dephased density matrix to the families'
+    structured partial-transpose spectra: that moved the last bits of the
+    floats (at most 1.3e-15, in cluster8), and test_rows_match_dense_oracle,
+    committed before the regeneration, checks every row against the dense
+    route to 1e-13. Any other change to these bytes is a regression. The
+    sweep files pin the homogeneous gamma = lambda**K and
     Phi = K*phi mod 2*pi arithmetic for lambda, K and n_qubits sweeps.
     """
 

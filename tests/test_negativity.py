@@ -25,10 +25,12 @@ from decohere import (
     make_w,
     negativity_oracle,
     partial_trace,
+    partial_transpose,
     to_density,
     w_negativity_formula,
 )
-from decohere.negativity import _homogeneous_npt, closed_form
+from decohere.negativity import _SPECTRA, closed_form
+from decohere.tolerances import PSD_FLOOR
 from decohere.verify import random_density
 
 SQRT2 = np.sqrt(2.0)
@@ -114,9 +116,19 @@ class TestOracle:
         assert report.negativity_sum == 0.0
 
     def test_rejects_mismatched_cut(self):
-        # raised by the partial transpose; the oracle has no check of its own
+        # raised by the partial transpose; the dense path has no check of its own
         with pytest.raises(InvalidPartitionError):
             negativity_oracle(to_density(make_ghz(3)), cut_of(2, {1}))
+        with pytest.raises(InvalidPartitionError):
+            negativity_oracle((StateFamily(Family.GHZ, 3), homog(3, 0.5)), cut_of(2, {1}))
+
+    def test_rejects_mismatched_aggregate(self):
+        with pytest.raises(InvalidSizeError):
+            negativity_oracle((StateFamily(Family.W, 3), homog(4, 0.5)), cut_of(3, {1}))
+
+    def test_rejects_other_states(self):
+        with pytest.raises(TypeError):
+            negativity_oracle(np.eye(2) / 2, cut_of(2, {1}))
 
     @given(st.integers(0, 10**6), st.integers(2, 4))
     def test_negativity_sum_bounds_min_eigenvalue(self, seed, n):
@@ -308,22 +320,62 @@ class TestDistillability:
         assert cut_of(3, {1, 3}) not in verdict.ppt_cuts
 
 
+class TestStructuredMatchesDense:
+    """The structured PT spectrum of each family against the eigensolve of
+    the partial transpose of the explicit dephased state: sorted spectra
+    within 1e-12, the same count of eigenvalues below ``PSD_FLOOR``, and the
+    report's two readings within 1e-12."""
+
+    @staticmethod
+    def assert_agree(family, agg, cuts):
+        rho = apply_dephasing(to_density(make_state(family)), agg)
+        for cut in cuts:
+            dense = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+            eigs = np.sort(_SPECTRA[family.kind](agg.gamma, cut))
+            assert np.abs(eigs - dense).max() <= 1e-12, cut.human()
+            negatives = dense[dense < PSD_FLOOR]
+            assert np.count_nonzero(eigs < PSD_FLOOR) == negatives.size, cut.human()
+            report = negativity_oracle((family, agg), cut)
+            assert abs(report.min_eigenvalue - dense[0]) <= 1e-12, cut.human()
+            assert abs(report.negativity_sum + negatives.sum()) <= 1e-12, cut.human()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_every_cut_random_aggregate(self, kind, n):
+        rng = np.random.default_rng([n, list(Family).index(kind)])
+        agg = AggregateDephasing(rng.uniform(0, 1, n), rng.uniform(0, 2 * np.pi, n))
+        self.assert_agree(StateFamily(kind, n), agg, enumerate_cuts(n))
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_every_cut_homogeneous_extremes(self, kind, n, gamma):
+        self.assert_agree(StateFamily(kind, n), homog(n, gamma), enumerate_cuts(n))
+
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_ten_qubits(self, kind):
+        rng = np.random.default_rng([10, list(Family).index(kind)])
+        agg = AggregateDephasing(rng.uniform(0, 1, 10), rng.uniform(0, 2 * np.pi, 10))
+        # one qubit alone, the alternating cut and the half/half cut
+        cuts = [BipartiteCut.from_cli_bitmask(10, m) for m in (0b1, 0b0101010101, 0b11111)]
+        self.assert_agree(StateFamily(kind, 10), agg, cuts)
+
+
 class TestHomogeneousNPT:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("kind", list(Family))
     def test_matches_oracle_verdict(self, kind, n):
-        # the bisection predicate against dephasing plus the oracle, every
-        # cut, gamma = 0 (where 0**0 must keep the diagonal) through 1
+        # critical_gamma's predicate, the structured verdict at a homogeneous
+        # phase-free gamma, against dephasing plus the dense oracle: every
+        # cut, gamma = 0 through 1
         family = StateFamily(kind, n)
         base = to_density(make_state(family))
         for cut in enumerate_cuts(n):
-            is_npt = _homogeneous_npt(family, cut)
             for gamma in np.linspace(0.0, 1.0, 21):
-                rho = apply_dephasing(base, homog(n, gamma))
-                assert is_npt(float(gamma)) == negativity_oracle(rho, cut).npt, (
-                    cut.human(),
-                    gamma,
-                )
+                agg = homog(n, float(gamma))
+                assert negativity_oracle((family, agg), cut).npt == negativity_oracle(
+                    apply_dephasing(base, agg), cut
+                ).npt, (cut.human(), gamma)
 
 
 class TestCriticalGamma:
