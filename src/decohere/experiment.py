@@ -30,9 +30,9 @@ for that point's qubit count.
 
 Result rows carry both oracle quantities, read from the family's structured
 partial-transpose spectrum (no density matrix is built), plus the closed
-form where one exists. ``abs_error`` compares the formula against the oracle quantity the
-formula predicts: the signed minimum eigenvalue for GHZ and W, the
-negativity sum for cluster chains (see ``negativity.closed_form``).
+form where one exists. ``abs_error`` compares the formula against the
+oracle quantity the formula predicts: the signed minimum eigenvalue for GHZ
+and W, the negativity sum for cluster chains (see ``negativity.closed_form``).
 """
 
 from __future__ import annotations

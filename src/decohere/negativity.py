@@ -24,11 +24,10 @@ Two scalar summaries of a PT spectrum are reported side by side:
   negativity.
 
 They coincide when exactly one eigenvalue is negative (GHZ and W always;
-cluster chains on their middle cut), but they
-genuinely differ on the outer cuts of a 3-qubit cluster chain, where the
-negativity is split across two eigenvalues. The GHZ and W closed forms below
-predict the signed minimum eigenvalue; the cluster closed form predicts the
-negativity sum.
+cluster chains on their middle cut), but they genuinely differ on the outer
+cuts of a 3-qubit cluster chain, where the negativity is split across two
+eigenvalues. The GHZ and W closed forms below predict the signed minimum
+eigenvalue; the cluster closed form predicts the negativity sum.
 """
 
 from __future__ import annotations
@@ -211,7 +210,7 @@ def negativity_oracle(
     """
     if isinstance(state, DensityMatrix):
         return _report(cut, np.linalg.eigvalsh(partial_transpose(state, cut.p1)))
-    family, agg = state
+    family, agg = state if isinstance(state, tuple) and len(state) == 2 else (None, None)
     if not isinstance(family, StateFamily) or not isinstance(agg, AggregateDephasing):
         raise TypeError("state must be a DensityMatrix or a (StateFamily, AggregateDephasing) pair")
     if cut.n_qubits != family.n_qubits:

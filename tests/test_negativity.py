@@ -126,9 +126,17 @@ class TestOracle:
         with pytest.raises(InvalidSizeError):
             negativity_oracle((StateFamily(Family.W, 3), homog(4, 0.5)), cut_of(3, {1}))
 
-    def test_rejects_other_states(self):
+    @pytest.mark.parametrize(
+        "state",
+        [
+            np.eye(4) / 4,
+            (StateFamily(Family.W, 2), homog(2, 0.5), None),
+            (homog(2, 0.5), StateFamily(Family.W, 2)),
+        ],
+    )
+    def test_rejects_other_states(self, state):
         with pytest.raises(TypeError):
-            negativity_oracle(np.eye(2) / 2, cut_of(2, {1}))
+            negativity_oracle(state, cut_of(2, {1}))
 
     @given(st.integers(0, 10**6), st.integers(2, 4))
     def test_negativity_sum_bounds_min_eigenvalue(self, seed, n):
