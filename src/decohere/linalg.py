@@ -11,9 +11,11 @@ Conventions used everywhere in this package:
 * Matrices are plain ``numpy`` complex128 arrays; state vectors are 1-D
   arrays of length ``2**n``.
 
-Spectra come straight from ``np.linalg.eigvalsh`` on a validated density
-matrix or its partial transpose. A partial transpose only moves entries, so
-its Hermiticity defect is exactly that of the matrix it came from.
+Spectra come from ``np.linalg.eigvalsh`` on a validated density matrix or
+on the part of its partial transpose that holds nonzeros (the dense oracle
+in ``negativity`` pads the rest with exact zeros). A partial transpose only
+moves entries, so its Hermiticity defect is exactly that of the matrix it
+came from.
 """
 
 from __future__ import annotations

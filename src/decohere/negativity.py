@@ -8,14 +8,18 @@ predictions available for the GHZ, W, and short linear-cluster families, and
 locates critical dephasing strengths by bisection.
 
 The oracle has two paths, chosen by what it is given. A ``DensityMatrix``
-gets a dense partial transpose and eigensolve. A family state under an
-``AggregateDephasing`` gets its spectrum written down from the family's
-structure, with no 2^n x 2^n matrix (Hein, Eisert, Briegel, PRA 69, 062311
-(2004)): a dephased graph state stays diagonal in the graph-state basis and
-the PT only flips stabilizer signs, so the cluster spectrum is one
-Walsh-Hadamard transform; the W PT is block diagonal with exactly one
-negative eigenvalue; the GHZ spectrum is {1/2, 1/2, +-prod(gamma)/2} plus
-zeros. The bisection reads the structured path's verdict.
+gets a dense partial transpose, eigensolved only on the indices whose row or
+column holds a nonzero; every other index is an exact zero eigenvalue, so a
+dephased GHZ PT is solved as a 4 x 4 matrix and a W PT as one of size
+1 + n + |A||B|. A family state under an ``AggregateDephasing`` gets its
+spectrum written down from the family's structure, with no 2^n x 2^n matrix
+(Hein, Eisert, Briegel, PRA 69, 062311 (2004)): a dephased graph state stays
+diagonal in the graph-state basis and the PT only flips stabilizer signs, so
+the cluster spectrum is one Walsh-Hadamard transform; the W PT is block
+diagonal with exactly one negative eigenvalue; the GHZ spectrum is
+{1/2, 1/2, +-prod(gamma)/2} plus zeros. The bisection reads the structured
+path's verdict; GHZ and W have no transition to bisect, since they are NPT
+on every cut for every gamma > 0.
 
 Two scalar summaries of a PT spectrum are reported side by side:
 
@@ -197,19 +201,40 @@ def _cluster_spectrum(gamma: np.ndarray, cut: BipartiteCut) -> np.ndarray:
 _SPECTRA = {Family.GHZ: _ghz_spectrum, Family.W: _w_spectrum, Family.CLUSTER: _cluster_spectrum}
 
 
+def _pt_eigs(rho: DensityMatrix, cut: BipartiteCut) -> np.ndarray:
+    """Ascending spectrum of ``rho``'s partial transpose on ``cut``, solved on
+    its support.
+
+    An index whose row and column are both zero is an exact eigenvalue 0 and
+    decouples from the rest, so ``eigvalsh`` runs on the principal submatrix
+    of the other indices and the spectrum is padded with zeros. Rows alone
+    would not do: ``eigvalsh`` reads one triangle, and a matrix Hermitian
+    only within ``HERMITICITY_TOL`` can hold an entry whose mirror is zero.
+    """
+    pt = partial_transpose(rho, cut.p1)
+    nonzero = pt != 0
+    live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    pt = pt.take(live, axis=0)
+    pt = pt.take(live, axis=1)
+    eigs = np.concatenate([np.linalg.eigvalsh(pt), np.zeros(rho.dim - live.size)])
+    return np.sort(eigs)
+
+
 def negativity_oracle(
     state: Union[DensityMatrix, tuple[StateFamily, AggregateDephasing]], cut: BipartiteCut
 ) -> NegativityReport:
     """Exact PT spectrum summary for one cut.
 
     ``state`` is either a ``DensityMatrix``, whose partial transpose is
-    built and solved densely, or a ``(StateFamily, AggregateDephasing)``
-    pair: the family state under that dephasing, whose PT spectrum is
-    written down from the family's structure without building any matrix.
-    Phases are local Rz rotations and do not enter that spectrum.
+    built and solved densely on the rows and columns it touches, the rest
+    padded with exact zeros (``_pt_eigs``), or a ``(StateFamily,
+    AggregateDephasing)`` pair: the family state under that dephasing, whose
+    PT spectrum is written down from the family's structure without
+    building any matrix. Phases are local Rz rotations and do not enter that
+    spectrum.
     """
     if isinstance(state, DensityMatrix):
-        return _report(cut, np.linalg.eigvalsh(partial_transpose(state, cut.p1)))
+        return _report(cut, _pt_eigs(state, cut))
     family, agg = state if isinstance(state, tuple) and len(state) == 2 else (None, None)
     if not isinstance(family, StateFamily) or not isinstance(agg, AggregateDephasing):
         raise TypeError("state must be a DensityMatrix or a (StateFamily, AggregateDephasing) pair")
@@ -330,9 +355,13 @@ def critical_gamma(
     All qubits share one gamma (no phase — phases never move eigenvalues).
     The predicate is the NPT verdict of the structured oracle,
     ``negativity_oracle((family, AggregateDephasing.homogeneous(n, gamma)), cut)``,
-    so this works for any family and size the oracle can handle, including
-    cluster chains too long for a closed form, and no step builds a matrix.
+    so this works for any cluster chain the oracle can handle, including
+    chains too long for a closed form, and no step builds a matrix.
     ``lo`` and ``hi`` must straddle the transition or BracketError is raised.
+    GHZ and W raise BracketError for any bracket: their PT minimum,
+    -gamma^n/2 or -gamma^2 sqrt(|A||B|)/n, is negative for every gamma > 0,
+    so the only transition is at gamma = 0 and a bisection would return
+    where that minimum meets ``PSD_FLOOR``.
     """
     if not 0.0 <= lo < hi <= 1.0:
         raise BracketError(f"bracket [{lo}, {hi}] is not an ordered subinterval of [0, 1]")
@@ -341,7 +370,12 @@ def critical_gamma(
         agg = AggregateDephasing.homogeneous(family.n_qubits, gamma)
         return negativity_oracle((family, agg), cut).npt
 
-    lo_npt = is_npt(lo)
+    lo_npt = is_npt(lo)  # also rejects a cut over the wrong number of qubits
+    if family.kind is not Family.CLUSTER:
+        raise BracketError(
+            f"{family.kind.value} states are NPT on every cut for every gamma > 0; "
+            "no transition to bisect"
+        )
     if lo_npt == is_npt(hi):
         raise BracketError(
             f"cut {cut.human()} is {'NPT' if lo_npt else 'PPT'} at both ends of "

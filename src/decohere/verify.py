@@ -40,6 +40,7 @@ from .linalg import (
 )
 from .negativity import (
     BipartiteCut,
+    _pt_eigs,
     cluster_negativity_formula,
     enumerate_cuts,
     ghz_negativity_formula,
@@ -167,13 +168,12 @@ def check_pt_spectrum_range(max_n: int, rng: np.random.Generator) -> PropertyRes
     for n in range(2, max_n + 1):
         candidates = [random_density(rng, n) for _ in range(5)]
         candidates += [
-            apply_dephasing(rho, random_aggregate(rng, n))
-            for _, rho in _family_states(n)
-            if rho.n_qubits == n
+            apply_dephasing(to_density(make_state(StateFamily(kind, n))), random_aggregate(rng, n))
+            for kind in Family
         ]
         for rho in candidates:
             for cut in enumerate_cuts(n):
-                eigs = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+                eigs = _pt_eigs(rho, cut)
                 worst = max(worst, float(-0.5 - eigs[0]), float(eigs[-1] - 1.0))
     return PropertyResult("pt_spectrum_range", worst <= 1e-9, worst, 1e-9)
 

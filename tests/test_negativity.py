@@ -7,6 +7,7 @@ from decohere import (
     AggregateDephasing,
     BipartiteCut,
     BracketError,
+    DensityMatrix,
     Family,
     FormulaUnavailableError,
     InvalidPartitionError,
@@ -29,7 +30,8 @@ from decohere import (
     to_density,
     w_negativity_formula,
 )
-from decohere.negativity import _SPECTRA, closed_form
+from decohere import negativity
+from decohere.negativity import _SPECTRA, _pt_eigs, closed_form
 from decohere.tolerances import PSD_FLOOR
 from decohere.verify import random_density
 
@@ -43,6 +45,17 @@ def homog(n, gamma):
 
 def cut_of(n, members):
     return BipartiteCut.from_members(n, members)
+
+
+def assert_matches_full(eigs, report, full, label):
+    """A PT spectrum and its report against ``eigvalsh`` of the whole PT:
+    sorted spectra, ``min_eigenvalue`` and ``negativity_sum`` within 1e-12,
+    and the same count of eigenvalues below ``PSD_FLOOR``."""
+    negatives = full[full < PSD_FLOOR]
+    assert np.abs(np.sort(eigs) - full).max() <= 1e-12, label
+    assert np.count_nonzero(eigs < PSD_FLOOR) == negatives.size, label
+    assert abs(report.min_eigenvalue - full[0]) <= 1e-12, label
+    assert abs(report.negativity_sum + negatives.sum()) <= 1e-12, label
 
 
 class TestBipartiteCut:
@@ -318,6 +331,29 @@ class TestDistillability:
             report = negativity_oracle(reduced, cut)
             assert abs(report.min_eigenvalue - (-0.25)) < 1e-12
 
+    def test_dephased_w9_every_cut(self, monkeypatch):
+        # 255 cuts at dim 512; the dense path solves each PT on its
+        # 1 + 9 + |A||B| live indices
+        n = 9
+        rng = np.random.default_rng(9)
+        agg = AggregateDephasing(rng.uniform(0, 1, n), rng.uniform(0, 2 * np.pi, n))
+        rho = apply_dephasing(to_density(make_w(n)), agg)
+        reports = []
+        oracle = negativity.negativity_oracle
+
+        def record(state, cut):
+            reports.append(oracle(state, cut))
+            return reports[-1]
+
+        monkeypatch.setattr(negativity, "negativity_oracle", record)
+        verdict = distillability_check(rho)
+        assert verdict.all_cuts_npt
+        assert [r.cut for r in reports] == enumerate_cuts(n)
+        family = StateFamily(Family.W, n)
+        for report in reports:
+            structured = oracle((family, agg), report.cut)
+            assert abs(report.min_eigenvalue - structured.min_eigenvalue) <= 1e-12
+
     def test_worst_cut_is_closest_to_ppt(self):
         # between the two thresholds only the middle-qubit cut stays NPT, so
         # the worst (closest-to-PPT) cut must be one of the outer ones
@@ -329,29 +365,37 @@ class TestDistillability:
 
 
 class TestStructuredMatchesDense:
-    """The structured PT spectrum of each family against the eigensolve of
-    the partial transpose of the explicit dephased state: sorted spectra
-    within 1e-12, the same count of eigenvalues below ``PSD_FLOOR``, and the
-    report's two readings within 1e-12."""
+    """Both oracle paths against ``eigvalsh`` of the whole partial transpose
+    of the explicit dephased state: the structured spectrum of each family,
+    and the dense path, which solves only the PT's support."""
 
     @staticmethod
     def assert_agree(family, agg, cuts):
         rho = apply_dephasing(to_density(make_state(family)), agg)
         for cut in cuts:
-            dense = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
-            eigs = np.sort(_SPECTRA[family.kind](agg.gamma, cut))
-            assert np.abs(eigs - dense).max() <= 1e-12, cut.human()
-            negatives = dense[dense < PSD_FLOOR]
-            assert np.count_nonzero(eigs < PSD_FLOOR) == negatives.size, cut.human()
+            full = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+            structured = _SPECTRA[family.kind](agg.gamma, cut)
             report = negativity_oracle((family, agg), cut)
-            assert abs(report.min_eigenvalue - dense[0]) <= 1e-12, cut.human()
-            assert abs(report.negativity_sum + negatives.sum()) <= 1e-12, cut.human()
+            assert_matches_full(structured, report, full, ("structured", cut.human()))
+            report = negativity_oracle(rho, cut)
+            assert_matches_full(_pt_eigs(rho, cut), report, full, ("dense", cut.human()))
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("kind", list(Family))
     def test_every_cut_random_aggregate(self, kind, n):
         rng = np.random.default_rng([n, list(Family).index(kind)])
         agg = AggregateDephasing(rng.uniform(0, 1, n), rng.uniform(0, 2 * np.pi, n))
+        self.assert_agree(StateFamily(kind, n), agg, enumerate_cuts(n))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_every_cut_one_dead_qubit(self, kind, n):
+        # gamma = 0 on one qubit empties the rows and columns of the PT
+        # entries that cross it, so the dense path drops them
+        rng = np.random.default_rng([n, list(Family).index(kind), 0])
+        gamma = rng.uniform(0, 1, n)
+        gamma[rng.integers(n)] = 0.0
+        agg = AggregateDephasing(gamma, rng.uniform(0, 2 * np.pi, n))
         self.assert_agree(StateFamily(kind, n), agg, enumerate_cuts(n))
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
@@ -367,6 +411,65 @@ class TestStructuredMatchesDense:
         # one qubit alone, the alternating cut and the half/half cut
         cuts = [BipartiteCut.from_cli_bitmask(10, m) for m in (0b1, 0b0101010101, 0b11111)]
         self.assert_agree(StateFamily(kind, 10), agg, cuts)
+
+
+class TestDenseSupport:
+    """The dense path eigensolves the indices whose PT row or column holds a
+    nonzero, and pads the spectrum with exact zeros."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_random_full_rank(self, n):
+        rng = np.random.default_rng([n, 99])
+        for _ in range(3):
+            rho = random_density(rng, n)
+            for cut in enumerate_cuts(n):
+                full = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+                eigs = _pt_eigs(rho, cut)
+                assert_matches_full(eigs, negativity_oracle(rho, cut), full, cut.human())
+
+    def test_one_sided_zero_pattern(self):
+        # Hermitian only within HERMITICITY_TOL: entries (127, k) = eps for
+        # k = 1..126, below the diagonal, while rows 1..126 are zero.
+        # eigvalsh reads the lower triangle, so it sees a star with
+        # eigenvalues +-eps*sqrt(126); keeping only nonzero rows would drop
+        # indices 1..126 and lose it. Qubit 1 is 0 on all these indices, so
+        # the PT on {1} leaves the entries in place.
+        n, eps = 8, 0.9e-12
+        mat = np.zeros((2**n, 2**n), dtype=complex)
+        mat[0, 0] = 1.0
+        mat[127, 1:127] = eps
+        rho = DensityMatrix(n, mat)
+        cut = cut_of(n, {1})
+        full = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+        assert full[0] < -10 * eps
+        assert_matches_full(_pt_eigs(rho, cut), negativity_oracle(rho, cut), full, cut.human())
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_eigensolve_size(self, kind, n, monkeypatch):
+        # every gamma in (0, 1): GHZ keeps |0...0>, |1...1> and the pair the
+        # PT couples; W keeps |0...0>, the n single and the |A||B| crossing
+        # double excitations; the cluster state has a full diagonal
+        rng = np.random.default_rng([n, list(Family).index(kind), 1])
+        agg = AggregateDephasing(rng.uniform(0.05, 0.95, n), rng.uniform(0, 2 * np.pi, n))
+        rho = apply_dephasing(to_density(make_state(StateFamily(kind, n))), agg)
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            sizes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for cut in enumerate_cuts(n):
+            sizes.clear()
+            negativity_oracle(rho, cut)
+            expected = {
+                Family.GHZ: 4,
+                Family.W: 1 + n + len(cut.p1) * len(cut.p2),
+                Family.CLUSTER: 2**n,
+            }[kind]
+            assert sizes == [(expected, expected)], cut.human()
 
 
 class TestHomogeneousNPT:
@@ -411,6 +514,14 @@ class TestCriticalGamma:
         with pytest.raises(BracketError):
             critical_gamma(StateFamily(Family.GHZ, 2), cut_of(2, {1}), 0.1, 0.9)
 
+    @pytest.mark.parametrize("kind", [Family.GHZ, Family.W])
+    def test_ghz_and_w_have_no_threshold_in_unit_interval(self, kind):
+        # NPT for every gamma > 0 and PPT at gamma = 0: bisecting [0, 1]
+        # would only find where prod(gamma) meets PSD_FLOOR (0.0242 for
+        # GHZ at n = 6)
+        with pytest.raises(BracketError, match=f"^{kind.value} states"):
+            critical_gamma(StateFamily(kind, 6), cut_of(6, {1, 2}), 0.0, 1.0)
+
     def test_rejects_unordered_bracket(self):
         with pytest.raises(BracketError):
             critical_gamma(StateFamily(Family.CLUSTER, 2), cut_of(2, {1}), 0.9, 0.1)
@@ -418,3 +529,5 @@ class TestCriticalGamma:
     def test_rejects_mismatched_cut(self):
         with pytest.raises(InvalidPartitionError):
             critical_gamma(StateFamily(Family.CLUSTER, 3), cut_of(2, {1}), 0.1, 0.9)
+        with pytest.raises(InvalidPartitionError):
+            critical_gamma(StateFamily(Family.GHZ, 3), cut_of(2, {1}), 0.1, 0.9)
