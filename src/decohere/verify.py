@@ -1,9 +1,10 @@
 """Seeded self-verification battery.
 
 Every structural invariant the library relies on — linear-algebra identities,
-channel conservation laws, microscopic/reduced agreement, and agreement of
-each closed-form negativity with the brute-force eigensolver — is encoded
-here as a named property over seeded random inputs. The ``decohere verify``
+channel conservation laws, microscopic/reduced agreement, and, per family,
+agreement of the structured PT spectrum (the path behind every CSV row and
+threshold) with the dense eigensolver on every cut — is encoded here as a
+named property over seeded random inputs. The ``decohere verify``
 subcommand runs this suite and reports one pass/fail line per property with
 the worst observed error; the test suite reuses the same functions.
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -39,13 +41,12 @@ from .linalg import (
     partial_transpose,
 )
 from .negativity import (
+    _SPECTRA,
     BipartiteCut,
     _pt_eigs,
-    cluster_negativity_formula,
+    _report,
     enumerate_cuts,
-    ghz_negativity_formula,
     negativity_oracle,
-    w_negativity_formula,
 )
 from .states import Family, StateFamily, make_cluster, make_ghz, make_state, make_w, to_density
 
@@ -100,12 +101,9 @@ def random_schedule(
     return CollisionSchedule(n_qubits, tuple(per_qubit))
 
 
-def random_aggregate(
-    rng: np.random.Generator, n_qubits: int, with_phases: bool = True
-) -> AggregateDephasing:
+def random_aggregate(rng: np.random.Generator, n_qubits: int) -> AggregateDephasing:
     gamma = rng.uniform(0.0, 1.0, n_qubits)
-    phase = rng.uniform(0.0, 2.0 * np.pi, n_qubits) if with_phases else np.zeros(n_qubits)
-    return AggregateDephasing(gamma, phase)
+    return AggregateDephasing(gamma, rng.uniform(0.0, 2.0 * np.pi, n_qubits))
 
 
 def random_micro_spec(rng: np.random.Generator) -> MicroCollisionSpec:
@@ -121,12 +119,6 @@ def random_micro_spec(rng: np.random.Generator) -> MicroCollisionSpec:
 def random_cut(rng: np.random.Generator, n_qubits: int) -> BipartiteCut:
     mask = int(rng.integers(1, 2**n_qubits - 1))
     return BipartiteCut.from_cli_bitmask(n_qubits, mask)
-
-
-def _family_states(max_n: int):
-    for n in range(2, max_n + 1):
-        for kind in Family:
-            yield StateFamily(kind, n), to_density(make_state(StateFamily(kind, n)))
 
 
 # --------------------------------------------------------------------------
@@ -321,113 +313,9 @@ def check_micro_reduced_agreement(max_n: int, rng: np.random.Generator) -> Prope
     return PropertyResult("micro_reduced_agreement", worst <= 1e-10, worst, 1e-10)
 
 
-def check_phase_irrelevance(max_n: int, rng: np.random.Generator) -> PropertyResult:
-    """Dephasing phases are local diagonal unitaries: negativity ignores them."""
-    worst = 0.0
-    for family, rho in _family_states(min(4, max_n)):
-        n = family.n_qubits
-        agg = random_aggregate(rng, n, with_phases=True)
-        plain = AggregateDephasing(agg.gamma.copy(), np.zeros(n))
-        with_ph = apply_dephasing(rho, agg)
-        without = apply_dephasing(rho, plain)
-        for cut in enumerate_cuts(n):
-            a = negativity_oracle(with_ph, cut)
-            b = negativity_oracle(without, cut)
-            worst = max(worst, abs(a.min_eigenvalue - b.min_eigenvalue))
-            worst = max(worst, abs(a.negativity_sum - b.negativity_sum))
-    return PropertyResult("phase_irrelevance_for_negativity", worst <= 1e-9, worst, 1e-9)
-
-
-def check_ghz_monotonicity(max_n: int, rng: np.random.Generator) -> PropertyResult:
-    """Elementwise-smaller gamma never increases GHZ negativity."""
-    worst = 0.0
-    for n in range(2, max_n + 1):
-        rho = to_density(make_ghz(n))
-        for _ in range(5):
-            gamma = rng.uniform(0.0, 1.0, n)
-            shrink = rng.uniform(0.0, 1.0, n)
-            cut = random_cut(rng, n)
-            big = negativity_oracle(
-                apply_dephasing(rho, AggregateDephasing(gamma)), cut
-            ).negativity_sum
-            small = negativity_oracle(
-                apply_dephasing(rho, AggregateDephasing(gamma * shrink)), cut
-            ).negativity_sum
-            worst = max(worst, small - big)
-    return PropertyResult("ghz_negativity_monotone_in_gamma", worst <= 1e-9, worst, 1e-9)
-
-
 # --------------------------------------------------------------------------
-# Properties — closed forms vs oracle
+# Properties — negativity
 # --------------------------------------------------------------------------
-
-
-def check_ghz_formula(max_n: int, rng: np.random.Generator) -> PropertyResult:
-    """Oracle minimum PT eigenvalue of dephased GHZ = -(1/2) prod(gamma)."""
-    worst = 0.0
-    for n in range(2, max_n + 1):
-        rho = to_density(make_ghz(n))
-        for _ in range(12):
-            agg = schedule_aggregate(random_schedule(rng, n))
-            report = negativity_oracle(apply_dephasing(rho, agg), random_cut(rng, n))
-            worst = max(worst, abs(report.min_eigenvalue - ghz_negativity_formula(agg)))
-    return PropertyResult("ghz_formula_vs_oracle", worst <= 1e-8, worst, 1e-8)
-
-
-def check_ghz_cut_independence(max_n: int, rng: np.random.Generator) -> PropertyResult:
-    worst = 0.0
-    for n in range(2, max_n + 1):
-        rho = apply_dephasing(
-            to_density(make_ghz(n)), random_aggregate(rng, n, with_phases=False)
-        )
-        values = [
-            negativity_oracle(rho, cut).min_eigenvalue for cut in enumerate_cuts(n)
-        ]
-        worst = max(worst, max(values) - min(values))
-    return PropertyResult("ghz_cut_independence", worst <= 1e-9, worst, 1e-9)
-
-
-def check_w_formula(max_n: int, rng: np.random.Generator) -> PropertyResult:
-    """Oracle minimum PT eigenvalue of dephased W matches the cut formula."""
-    worst = 0.0
-    for n in range(2, max_n + 1):
-        rho = to_density(make_w(n))
-        aggregates = [
-            AggregateDephasing.homogeneous(n, g) for g in (0.0, 0.3, 0.7, 1.0)
-        ]
-        for strength in (0.4, 0.9):
-            gamma = np.ones(n)
-            gamma[0] = strength  # only qubit 1 decohered
-            aggregates.append(AggregateDephasing(gamma))
-        aggregates += [random_aggregate(rng, n) for _ in range(4)]
-        for agg in aggregates:
-            dephased = apply_dephasing(rho, agg)
-            for cut in enumerate_cuts(n):
-                report = negativity_oracle(dephased, cut)
-                worst = max(
-                    worst, abs(report.min_eigenvalue - w_negativity_formula(agg, cut))
-                )
-    return PropertyResult("w_formula_vs_oracle", worst <= 1e-8, worst, 1e-8)
-
-
-def check_w_weakest_link(max_n: int, rng: np.random.Generator) -> PropertyResult:
-    """The least-entangled cut of a homogeneously dephased W state is the one
-    the formula minimizes over |P1| — the most unbalanced split."""
-    worst = 0.0
-    for n in range(2, max_n + 1):
-        rho = to_density(make_w(n))
-        for gamma in (0.35, 0.8):
-            agg = AggregateDephasing.homogeneous(n, gamma)
-            dephased = apply_dephasing(rho, agg)
-            scan = min(
-                abs(negativity_oracle(dephased, cut).min_eigenvalue)
-                for cut in enumerate_cuts(n)
-            )
-            predicted = min(
-                gamma**2 * np.sqrt(size * (n - size)) / n for size in range(1, n)
-            )
-            worst = max(worst, abs(scan - predicted))
-    return PropertyResult("w_weakest_link", worst <= 1e-9, worst, 1e-9)
 
 
 def check_strict_positivity_persistence(max_n: int, rng: np.random.Generator) -> PropertyResult:
@@ -459,61 +347,6 @@ def check_strict_positivity_persistence(max_n: int, rng: np.random.Generator) ->
         worst_margin,
         0.0,
         "largest min-eigenvalue over all sampled cuts (must stay negative)",
-    )
-
-
-def check_cluster_formula_grids(max_n: int, rng: np.random.Generator) -> PropertyResult:
-    """Cluster closed forms equal the oracle negativity on dense gamma grids.
-
-    The formulas predict the negativity sum. The magnitude of the single most
-    negative eigenvalue is the same thing on 2 qubits (everywhere) and on the
-    3-qubit middle cut at homogeneous gamma, but away from those regimes the
-    negativity splits across two eigenvalues; the size of that split is
-    reported in the detail string as a reminder, not a failure.
-    """
-    grid = np.round(np.arange(0.0, 1.0001, 0.1), 10)
-    worst = 0.0
-    split = 0.0  # gap between the two bindings where they differ
-    worst_single = 0.0  # min-eigenvalue binding where it must hold
-
-    if max_n >= 2:
-        rho2 = to_density(make_cluster(2))
-        cut2 = enumerate_cuts(2)[0]
-        for g1, g2 in itertools.product(grid, repeat=2):
-            agg = AggregateDephasing(np.array([g1, g2]))
-            report = negativity_oracle(apply_dephasing(rho2, agg), cut2)
-            formula = cluster_negativity_formula(agg, cut2)
-            worst = max(worst, abs(report.negativity_sum - formula))
-            worst_single = max(
-                worst_single, abs(max(-report.min_eigenvalue, 0.0) - formula)
-            )
-
-    if max_n >= 3:
-        rho3 = to_density(make_cluster(3))
-        cuts3 = enumerate_cuts(3)
-        middle = BipartiteCut.from_members(3, {1, 3})
-        for gammas in itertools.product(grid, repeat=3):
-            agg = AggregateDephasing(np.array(gammas))
-            dephased = apply_dephasing(rho3, agg)
-            homogeneous = gammas[0] == gammas[1] == gammas[2]
-            for cut in cuts3:
-                report = negativity_oracle(dephased, cut)
-                formula = cluster_negativity_formula(agg, cut)
-                worst = max(worst, abs(report.negativity_sum - formula))
-                single = abs(max(-report.min_eigenvalue, 0.0) - formula)
-                if cut == middle and homogeneous:
-                    worst_single = max(worst_single, single)
-                else:
-                    split = max(split, single)
-
-    passed = worst <= 1e-8 and worst_single <= 1e-8
-    return PropertyResult(
-        "cluster_formula_grids",
-        passed,
-        worst,
-        1e-8,
-        f"single-eigenvalue binding holds to {worst_single:.2e} where applicable; "
-        f"two-eigenvalue split elsewhere reaches {split:.3f} (expected, logged)",
     )
 
 
@@ -552,26 +385,44 @@ def check_cluster_vs_ghz_ordering(max_n: int, rng: np.random.Generator) -> Prope
     )
 
 
-def check_ghz_slope_law(max_n: int, rng: np.random.Generator) -> PropertyResult:
-    """ln|min eigenvalue| of homogeneously dephased GHZ is affine in the qubit
-    count with slope K*ln(strength)."""
+# --------------------------------------------------------------------------
+# Properties — structured spectra vs the dense oracle
+# --------------------------------------------------------------------------
+
+
+def check_structured_vs_dense(
+    kind: Family, max_n: int, rng: np.random.Generator
+) -> PropertyResult:
+    """The structured PT spectrum of ``kind``, which every CSV row and
+    threshold reads, equals the dense spectrum of the explicitly dephased
+    state on every cut, and so do the two oracle reports.
+
+    Per n there are two aggregates: random gamma and phases, and the same
+    kind of draw with one random qubit at gamma = 0, which empties PT rows
+    and columns. Phases reach the dense side only, so agreement also shows
+    that they never move the spectrum. The dense report is ``_report`` of
+    the dense spectrum, exactly what ``negativity_oracle(rho, cut)``
+    returns, so each cut is eigensolved once.
+    """
     worst = 0.0
-    strength = 0.9
-    sizes = np.arange(2, max_n + 1)
-    if sizes.size < 2:
-        return PropertyResult("ghz_slope_law", True, 0.0, 1e-9, "needs max_n >= 3")
-    for k in (1, 2, 3):
-        logs = []
-        for n in sizes:
-            agg = AggregateDephasing.homogeneous(int(n), strength**k)
-            rho = apply_dephasing(to_density(make_ghz(int(n))), agg)
-            report = negativity_oracle(rho, enumerate_cuts(int(n))[0])
-            logs.append(np.log(abs(report.min_eigenvalue)))
-        slope, intercept = np.polyfit(sizes, logs, 1)
-        fit = slope * sizes + intercept
-        worst = max(worst, np.abs(fit - np.array(logs)).max())
-        worst = max(worst, abs(slope - k * np.log(strength)))
-    return PropertyResult("ghz_slope_law", worst <= 1e-9, worst, 1e-9)
+    for n in range(2, max_n + 1):
+        family = StateFamily(kind, n)
+        pure = to_density(make_state(family))
+        live, dead = random_aggregate(rng, n), random_aggregate(rng, n)
+        gamma = dead.gamma.copy()
+        gamma[rng.integers(n)] = 0.0
+        for agg in (live, AggregateDephasing(gamma, dead.phase)):
+            rho = apply_dephasing(pure, agg)
+            for cut in enumerate_cuts(n):
+                eigs = _pt_eigs(rho, cut)
+                fast, dense = negativity_oracle((family, agg), cut), _report(cut, eigs)
+                worst = max(
+                    worst,
+                    np.abs(np.sort(_SPECTRA[kind](agg.gamma, cut)) - eigs).max(),
+                    abs(fast.min_eigenvalue - dense.min_eigenvalue),
+                    abs(fast.negativity_sum - dense.negativity_sum),
+                )
+    return PropertyResult(f"{kind.value}_structured_vs_dense", worst <= 1e-12, worst, 1e-12)
 
 
 ALL_CHECKS: list[Callable[[int, np.random.Generator], PropertyResult]] = [
@@ -587,16 +438,9 @@ ALL_CHECKS: list[Callable[[int, np.random.Generator], PropertyResult]] = [
     check_dephasing_composition,
     check_schedule_aggregation,
     check_micro_reduced_agreement,
-    check_phase_irrelevance,
-    check_ghz_monotonicity,
-    check_ghz_formula,
-    check_ghz_cut_independence,
-    check_w_formula,
-    check_w_weakest_link,
     check_strict_positivity_persistence,
-    check_cluster_formula_grids,
     check_cluster_vs_ghz_ordering,
-    check_ghz_slope_law,
+    *(partial(check_structured_vs_dense, kind) for kind in Family),
 ]
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -33,7 +35,7 @@ from decohere import (
 from decohere import negativity
 from decohere.negativity import _SPECTRA, _pt_eigs, closed_form
 from decohere.tolerances import PSD_FLOOR
-from decohere.verify import random_density
+from decohere.verify import random_density, run_suite
 
 SQRT2 = np.sqrt(2.0)
 CLUSTER3_MIDDLE_CRITICAL = 0.29559774252208476  # root of g^3 + g^2 + 3g - 1
@@ -411,6 +413,41 @@ class TestStructuredMatchesDense:
         # one qubit alone, the alternating cut and the half/half cut
         cuts = [BipartiteCut.from_cli_bitmask(10, m) for m in (0b1, 0b0101010101, 0b11111)]
         self.assert_agree(StateFamily(kind, 10), agg, cuts)
+
+
+def _ghz_without_gamma1(gamma, cut):
+    return negativity._ghz_spectrum(np.concatenate([[1.0], gamma[1:]]), cut)
+
+
+def _w_prefactor_n_minus_1(gamma, cut):
+    return negativity._w_spectrum(gamma, cut) * gamma.size / (gamma.size - 1)
+
+
+def _cluster_sign_on_kept_edges(gamma, cut):
+    # a side pattern whose crossing edges are exactly the cut's kept edges
+    side, members = True, {1}
+    for i in range(1, gamma.size):
+        side ^= (i in cut.p1.members) == (i + 1 in cut.p1.members)
+        if side:
+            members.add(i + 1)
+    flipped = SimpleNamespace(p1=SimpleNamespace(members=members))
+    return negativity._cluster_spectrum(gamma, flipped)
+
+
+@pytest.mark.parametrize(
+    "kind, mutant",
+    [
+        (Family.GHZ, _ghz_without_gamma1),
+        (Family.W, _w_prefactor_n_minus_1),
+        (Family.CLUSTER, _cluster_sign_on_kept_edges),
+    ],
+)
+def test_verify_fails_a_mutated_structured_spectrum(monkeypatch, kind, mutant):
+    """``verify`` gates the structured path: a wrong family kernel fails that
+    family's structured-vs-dense property and no other."""
+    monkeypatch.setitem(negativity._SPECTRA, kind, mutant)
+    failed = [r.name for r in run_suite(max_n=5, seed=7) if not r.passed]
+    assert failed == [f"{kind.value}_structured_vs_dense"]
 
 
 class TestDenseSupport:
