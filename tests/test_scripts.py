@@ -42,17 +42,19 @@ def test_max_n_past_dense_capacity_is_a_usage_error(name):
     assert "Traceback" not in proc.stderr
 
 
-def test_cluster_thresholds_match_golden(tmp_path):
-    # stdout and --out CSV of --max-n 6, generated with the eigensolver
-    # bisection predicate
+@pytest.mark.parametrize("max_n", [6, 8])
+def test_cluster_thresholds_match_golden(tmp_path, max_n):
+    # stdout and --out CSV, byte for byte: n = 6 was generated with the
+    # eigensolver bisection predicate, n = 8 with the one-cut structured
+    # predicate. Each threshold is the last midpoint of its bisection, so a
+    # reordered floating-point sum in the spectrum moves digits here.
+    name = f"thresholds_n{max_n}"
     proc = run_script(
-        "cluster_thresholds.py", "--max-n", "6", "--out", "thresholds_n6.csv", cwd=tmp_path
+        "cluster_thresholds.py", "--max-n", str(max_n), "--out", f"{name}.csv", cwd=tmp_path
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / "thresholds_n6.txt").read_text()
-    assert (tmp_path / "thresholds_n6.csv").read_bytes() == (
-        GOLDEN / "thresholds_n6.csv"
-    ).read_bytes()
+    assert proc.stdout == (GOLDEN / f"{name}.txt").read_text()
+    assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["ghz_decay_sweep.py", "cluster_thresholds.py"])
