@@ -5,8 +5,9 @@ nonzero homogeneous gamma. This script bisects the oracle's NPT verdict for
 every cut of chains up to --max-n and prints the thresholds; for the 2- and
 3-qubit chains it also checks them against the closed forms (sqrt(2)-1, and
 the root of g^3 + g^2 + 3g - 1 for the middle-qubit cut). Each bisection
-step reads the chain's structured partial-transpose spectrum, one
-Walsh-Hadamard transform of 2^n numbers, and builds no matrix (see
+step reads the structured partial-transpose spectra of the chain: one
+batched transform per step for all cuts of the chain, a Walsh-Hadamard
+transform of 2^n numbers per cut, and no matrix (see
 decohere.negativity.critical_gamma).
 
 Usage:
@@ -32,17 +33,14 @@ PAIR_THRESHOLD = np.sqrt(2.0) - 1.0
 
 
 def chain_thresholds(n):
-    family = StateFamily(Family.CLUSTER, n)
-    out = []
-    for cut in enumerate_cuts(n):
-        try:
-            gamma = critical_gamma(family, cut, 0.05, 0.999)
-        except BracketError as exc:
-            # no transition inside the bracket; report and move on
-            print(f"  n={n} cut {cut.human()}: {exc}", file=sys.stderr)
-            continue
-        out.append((cut, gamma))
-    return out
+    cuts = enumerate_cuts(n)
+    try:
+        gammas = critical_gamma(StateFamily(Family.CLUSTER, n), cuts, 0.05, 0.999)
+    except BracketError as exc:
+        # some cut has no transition inside the bracket; report and move on
+        print(f"  n={n}: {exc}", file=sys.stderr)
+        return []
+    return list(zip(cuts, gammas))
 
 
 def main(argv=None):
@@ -61,6 +59,8 @@ def main(argv=None):
     for n in range(2, args.max_n + 1):
         print(f"chain of {n} qubits:")
         thresholds = chain_thresholds(n)
+        if not thresholds:
+            continue
         for cut, gamma in thresholds:
             print(f"  cut {cut.human():>12}  critical gamma = {gamma:.9f}")
             rows.append((n, cut.cli_bitmask, cut.human(), gamma))

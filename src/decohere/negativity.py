@@ -18,8 +18,10 @@ diagonal in the graph-state basis and the PT only flips stabilizer signs, so
 the cluster spectrum is one Walsh-Hadamard transform; the W PT is block
 diagonal with exactly one negative eigenvalue; the GHZ spectrum is
 {1/2, 1/2, +-prod(gamma)/2} plus zeros. The bisection reads the structured
-path's verdict; GHZ and W have no transition to bisect, since they are NPT
-on every cut for every gamma > 0.
+cluster spectrum and bisects all the cuts of a chain in lockstep, each
+step one batched Walsh-Hadamard transform over the cuts' own midpoints;
+GHZ and W have no transition to bisect, since they are NPT on every cut for
+every gamma > 0.
 
 Two scalar summaries of a PT spectrum are reported side by side:
 
@@ -41,7 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .channel import AggregateDephasing
+from .channel import AggregateDephasing, _require_unit_gamma
 from .errors import BracketError, FormulaUnavailableError, InvalidPartitionError, InvalidSizeError
 from .linalg import DensityMatrix, QubitSubset, partial_transpose
 from .states import Family, StateFamily
@@ -113,8 +115,14 @@ class NegativityReport:
 
     @property
     def npt(self) -> bool:
-        """The cut's verdict: NPT iff the minimum eigenvalue is below ``PSD_FLOOR``."""
-        return self.min_eigenvalue < PSD_FLOOR
+        """The cut's verdict (``_is_npt``)."""
+        return _is_npt(self.min_eigenvalue)
+
+
+def _is_npt(min_eigenvalue):
+    """NPT iff the minimum PT eigenvalue is below ``PSD_FLOOR``; elementwise
+    on an array of minima."""
+    return min_eigenvalue < PSD_FLOOR
 
 
 @dataclass(frozen=True)
@@ -176,29 +184,51 @@ def _w_spectrum(gamma: np.ndarray, cut: BipartiteCut) -> np.ndarray:
     return np.concatenate([*blocks, [arrow, -arrow], np.zeros(2**n - n - 2)]) / n
 
 
-def _cluster_spectrum(gamma: np.ndarray, cut: BipartiteCut) -> np.ndarray:
-    """Walsh-Hadamard transform of the stabilizer weights.
+def _cluster_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
+    """Walsh-Hadamard transform of the stabilizer weights, one row per cut.
 
-    The dephased state is 2^-n sum_s f(s) K^s over the stabilizer products
-    K^s, with f(s) = prod_i gamma_i^s_i. The PT flips the sign of K^s once
-    per crossing edge (i, i+1) with s_i = s_{i+1} = 1, and the K^s stay
-    commuting, so the eigenvalue on the graph-basis ket |t> is
-    2^-n sum_s f(s) (-1)^(s.t). Qubit 1 is the most significant bit of s.
+    ``gamma`` has shape (k, n) and ``cuts`` holds k cuts; row r of the
+    result is the spectrum of ``cuts[r]`` at the per-qubit dephasing
+    ``gamma[r]``. Rows never mix, so a row holds the same floats whichever
+    rows share its call. The dephased state is 2^-n sum_s f(s) K^s over the
+    stabilizer products K^s, with f(s) = prod_i gamma_i^s_i. The PT flips
+    the sign of K^s once per crossing edge (i, i+1) with s_i = s_{i+1} = 1,
+    and the K^s stay commuting, so the eigenvalue on the graph-basis ket |t>
+    is 2^-n sum_s f(s) (-1)^(s.t). Qubit 1 is the most significant bit of s.
     """
-    n = gamma.size
-    f = np.ones(1)
-    for g in gamma:
-        f = np.multiply.outer(f, [1.0, g]).ravel()
+    k, n = gamma.shape
+    # signed[r, i] is gamma_{i+1}, negated if edge (i, i+1) crosses cuts[r]
+    signed = gamma.copy()
+    for r, cut in enumerate(cuts):
+        for i in range(1, n):
+            if (i in cut.p1.members) != (i + 1 in cut.p1.members):
+                signed[r, i] *= -1.0
+    # Append s_{i+1} as the lowest bit: f(.., s_i, 1) is f(.., s_i) times
+    # gamma_{i+1}, or times signed[i] when s_i = 1. Negating a factor is
+    # exact, so each value is the plain product with its crossing signs.
+    f = np.stack([np.ones(k), gamma[:, 0]], axis=1)
     for i in range(1, n):
-        if (i in cut.p1.members) != (i + 1 in cut.p1.members):
-            f.reshape(2 ** (i - 1), 2, 2, -1)[:, 1, 1] *= -1.0
+        pairs = f.reshape(k, -1, 2)
+        grown = np.empty((k, pairs.shape[1], 2, 2))
+        grown[..., 0] = pairs
+        np.multiply(pairs[:, :, 0], gamma[:, i, None], out=grown[:, :, 0, 1])
+        np.multiply(pairs[:, :, 1], signed[:, i, None], out=grown[:, :, 1, 1])
+        f = grown.reshape(k, -1)
+    out = np.empty_like(f)
     for q in range(n):
-        pairs = f.reshape(2**q, 2, -1)
-        f = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]], axis=1).ravel()
+        pairs, halves = f.reshape(k, 2**q, 2, -1), out.reshape(k, 2**q, 2, -1)
+        np.add(pairs[:, :, 0], pairs[:, :, 1], out=halves[:, :, 0])
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=halves[:, :, 1])
+        f, out = out, f
     return f * 2.0**-n
 
 
-_SPECTRA = {Family.GHZ: _ghz_spectrum, Family.W: _w_spectrum, Family.CLUSTER: _cluster_spectrum}
+def _cluster_row(gamma: np.ndarray, cut: BipartiteCut) -> np.ndarray:
+    """The spectrum of one cut at one gamma: a one-row ``_cluster_spectrum``."""
+    return _cluster_spectrum(gamma[None, :], [cut])[0]
+
+
+_SPECTRA = {Family.GHZ: _ghz_spectrum, Family.W: _w_spectrum, Family.CLUSTER: _cluster_row}
 
 
 def _pt_eigs(rho: DensityMatrix, cut: BipartiteCut) -> np.ndarray:
@@ -344,49 +374,73 @@ def distillability_check(rho: DensityMatrix) -> DistillabilityVerdict:
     )
 
 
+# Most spectrum values one kernel call of ``critical_gamma`` may hold. A
+# chain's cuts are bisected in blocks of 2^16 / 2^n cuts, so each temporary
+# of the transform is 512 KiB whatever the cut count: without blocks, the
+# 2,047 cuts of a 12-qubit chain would need arrays of 67 MB each.
+_LOCKSTEP_VALUES = 2**16
+
+
 def critical_gamma(
     family: StateFamily,
-    cut: BipartiteCut,
+    cuts: list[BipartiteCut],
     lo: float,
     hi: float,
-) -> float:
-    """Bisect for the homogeneous gamma where a cut switches NPT <-> PPT.
+) -> list[float]:
+    """Bisect for the homogeneous gamma where each cut switches NPT <-> PPT.
 
-    All qubits share one gamma (no phase — phases never move eigenvalues).
-    The predicate is the NPT verdict of the structured oracle,
-    ``negativity_oracle((family, AggregateDephasing.homogeneous(n, gamma)), cut)``,
-    so this works for any cluster chain the oracle can handle, including
-    chains too long for a closed form, and no step builds a matrix.
-    ``lo`` and ``hi`` must straddle the transition or BracketError is raised.
-    GHZ and W raise BracketError for any bracket: their PT minimum,
-    -gamma^n/2 or -gamma^2 sqrt(|A||B|)/n, is negative for every gamma > 0,
-    so the only transition is at gamma = 0 and a bisection would return
-    where that minimum meets ``PSD_FLOOR``.
+    Returns one threshold per cut, in the order of ``cuts``. All qubits
+    share one gamma (no phase — phases never move eigenvalues). The
+    predicate is the NPT verdict of the structured cluster spectrum at that
+    homogeneous gamma, the same spectrum ``negativity_oracle((family,
+    agg), cut)`` reads, so this works for chains too long for a closed form
+    and no step builds a matrix. Every cut starts from ``[lo, hi]`` and
+    halves its own bracket, so the cuts advance in lockstep: each step reads
+    the spectra of all cuts at their own midpoints from one batched
+    transform per block of ``_LOCKSTEP_VALUES``. Each cut sees the arithmetic
+    of a one-cut bisection, so its threshold is the same float.
+
+    Every cut must straddle the transition, or BracketError names those
+    that do not. GHZ and W raise BracketError for any bracket: their PT
+    minimum, -gamma^n/2 or -gamma^2 sqrt(|A||B|)/n, is negative for every
+    gamma > 0, so the only transition is at gamma = 0 and a bisection would
+    return where that minimum meets ``PSD_FLOOR``.
     """
     if not 0.0 <= lo < hi <= 1.0:
         raise BracketError(f"bracket [{lo}, {hi}] is not an ordered subinterval of [0, 1]")
-
-    def is_npt(gamma: float) -> bool:
-        agg = AggregateDephasing.homogeneous(family.n_qubits, gamma)
-        return negativity_oracle((family, agg), cut).npt
-
-    lo_npt = is_npt(lo)  # also rejects a cut over the wrong number of qubits
+    n, cuts = family.n_qubits, list(cuts)
+    for cut in cuts:
+        if cut.n_qubits != n:
+            raise InvalidPartitionError(f"cut is over {cut.n_qubits} qubits, family has {n}")
     if family.kind is not Family.CLUSTER:
         raise BracketError(
             f"{family.kind.value} states are NPT on every cut for every gamma > 0; "
             "no transition to bisect"
         )
-    if lo_npt == is_npt(hi):
-        raise BracketError(
-            f"cut {cut.human()} is {'NPT' if lo_npt else 'PPT'} at both ends of "
-            f"[{lo}, {hi}]; no transition to bisect"
-        )
+    rows = max(1, _LOCKSTEP_VALUES >> n)
 
-    a, b = float(lo), float(hi)
-    while b - a > BISECTION_WIDTH:
+    def is_npt(gamma: np.ndarray) -> np.ndarray:
+        """The verdict of cut r at homogeneous gamma[r], for every r."""
+        out = np.empty(len(cuts), dtype=bool)
+        for start in range(0, len(cuts), rows):
+            block = slice(start, start + rows)
+            rows_gamma = np.repeat(gamma[block, None], n, axis=1)
+            _require_unit_gamma(rows_gamma)
+            out[block] = _is_npt(_cluster_spectrum(rows_gamma, cuts[block]).min(axis=1))
+        return out
+
+    a, b = np.full(len(cuts), float(lo)), np.full(len(cuts), float(hi))
+    lo_npt = is_npt(a)
+    stuck = [
+        f"cut {cut.human()} is {'NPT' if npt else 'PPT'} at both ends of [{lo}, {hi}]"
+        for cut, npt, same in zip(cuts, lo_npt, lo_npt == is_npt(b))
+        if same
+    ]
+    if stuck:
+        raise BracketError("; ".join(stuck) + "; no transition to bisect")
+    while (active := b - a > BISECTION_WIDTH).any():
         mid = 0.5 * (a + b)
-        if is_npt(mid) == lo_npt:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+        keeps_lo = is_npt(mid) == lo_npt
+        a = np.where(active & keeps_lo, mid, a)
+        b = np.where(active & ~keeps_lo, mid, b)
+    return (0.5 * (a + b)).tolist()

@@ -1,7 +1,9 @@
+import csv
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import ROOT
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -431,7 +433,7 @@ def _cluster_sign_on_kept_edges(gamma, cut):
         if side:
             members.add(i + 1)
     flipped = SimpleNamespace(p1=SimpleNamespace(members=members))
-    return negativity._cluster_spectrum(gamma, flipped)
+    return negativity._cluster_spectrum(gamma[None, :], [flipped])[0]
 
 
 @pytest.mark.parametrize(
@@ -526,30 +528,89 @@ class TestHomogeneousNPT:
                 ).npt, (cut.human(), gamma)
 
 
+class TestClusterKernel:
+    """``_cluster_spectrum`` takes one row per cut; each row holds the same
+    floats as a one-row call."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_batched_rows_equal_one_row_calls(self, n):
+        rng = np.random.default_rng([n, 2])
+        cuts = enumerate_cuts(n)
+        gamma = rng.uniform(0, 1, (len(cuts), n))
+        batched = negativity._cluster_spectrum(gamma, cuts)
+        assert batched.shape == (len(cuts), 2**n)
+        for row, cut in enumerate(cuts):
+            single = negativity._cluster_spectrum(gamma[row : row + 1], [cut])
+            assert np.array_equal(batched[row], single[0]), cut.human()
+            assert np.array_equal(single[0], _SPECTRA[Family.CLUSTER](gamma[row], cut))
+
+
 class TestCriticalGamma:
     def test_two_qubit_cluster_threshold(self):
-        value = critical_gamma(
-            StateFamily(Family.CLUSTER, 2), cut_of(2, {1}), 0.1, 0.9
+        [value] = critical_gamma(
+            StateFamily(Family.CLUSTER, 2), [cut_of(2, {1})], 0.1, 0.9
         )
         assert abs(value - (SQRT2 - 1.0)) < 1e-7
 
     def test_three_qubit_cluster_middle_threshold(self):
-        value = critical_gamma(
-            StateFamily(Family.CLUSTER, 3), cut_of(3, {1, 3}), 0.1, 0.9
+        [value] = critical_gamma(
+            StateFamily(Family.CLUSTER, 3), [cut_of(3, {1, 3})], 0.1, 0.9
         )
         assert abs(value - 0.295598) < 5e-6
         residual = value**3 + value**2 + 3 * value - 1.0
         assert abs(residual) < 1e-8
 
     def test_three_qubit_cluster_outer_threshold(self):
-        value = critical_gamma(
-            StateFamily(Family.CLUSTER, 3), cut_of(3, {1}), 0.1, 0.9
+        [value] = critical_gamma(
+            StateFamily(Family.CLUSTER, 3), [cut_of(3, {1})], 0.1, 0.9
         )
         assert abs(value - (SQRT2 - 1.0)) < 1e-7
 
+    def test_shuffled_cuts_keep_input_order(self):
+        # every 6-qubit cut, shuffled: thresholds come back in input order
+        # and equal the golden CSV of cluster_thresholds.py, bit for bit
+        golden = ROOT / "tests" / "data" / "golden" / "thresholds_n6.csv"
+        with golden.open(newline="") as fh:
+            want = {
+                int(row["cut_bitmask"]): float(row["critical_gamma"])
+                for row in csv.DictReader(fh)
+                if row["n_qubits"] == "6"
+            }
+        cuts = enumerate_cuts(6)
+        np.random.default_rng(6).shuffle(cuts)
+        got = critical_gamma(StateFamily(Family.CLUSTER, 6), cuts, 0.05, 0.999)
+        assert len(want) == 31
+        assert got == [want[cut.cli_bitmask] for cut in cuts]
+
+    def test_bracket_error_names_the_cut_without_a_transition(self):
+        # the middle-qubit cut turns PPT at 0.2956, below the bracket, so it
+        # is NPT at both ends; the outer cuts turn at sqrt(2) - 1, inside it
+        cuts = [cut_of(3, {1}), cut_of(3, {1, 3}), cut_of(3, {1, 2})]
+        with pytest.raises(BracketError) as info:
+            critical_gamma(StateFamily(Family.CLUSTER, 3), cuts, 0.3, 0.999)
+        message = str(info.value)
+        assert "cut 1,3|2 is NPT at both ends" in message
+        assert "1|2,3" not in message and "1,2|3" not in message
+
+    def test_kernel_calls_stay_within_the_block_bound(self, monkeypatch):
+        n, kernel, values = 10, negativity._cluster_spectrum, []
+
+        def spy(gamma, cuts):
+            values.append(gamma.shape[0] * 2**n)
+            return kernel(gamma, cuts)
+
+        monkeypatch.setattr(negativity, "_cluster_spectrum", spy)
+        cuts = enumerate_cuts(n)
+        assert len(cuts) == 511
+        got = critical_gamma(StateFamily(Family.CLUSTER, n), cuts, 0.05, 0.999)
+        assert len(got) == 511
+        assert max(values) <= negativity._LOCKSTEP_VALUES
+        # the blocks cover every cut once per evaluation of the predicate
+        assert sum(values) % (511 * 2**n) == 0
+
     def test_ghz_has_no_transition_inside_bracket(self):
         with pytest.raises(BracketError):
-            critical_gamma(StateFamily(Family.GHZ, 2), cut_of(2, {1}), 0.1, 0.9)
+            critical_gamma(StateFamily(Family.GHZ, 2), [cut_of(2, {1})], 0.1, 0.9)
 
     @pytest.mark.parametrize("kind", [Family.GHZ, Family.W])
     def test_ghz_and_w_have_no_threshold_in_unit_interval(self, kind):
@@ -557,14 +618,18 @@ class TestCriticalGamma:
         # would only find where prod(gamma) meets PSD_FLOOR (0.0242 for
         # GHZ at n = 6)
         with pytest.raises(BracketError, match=f"^{kind.value} states"):
-            critical_gamma(StateFamily(kind, 6), cut_of(6, {1, 2}), 0.0, 1.0)
+            critical_gamma(StateFamily(kind, 6), [cut_of(6, {1, 2})], 0.0, 1.0)
 
     def test_rejects_unordered_bracket(self):
         with pytest.raises(BracketError):
-            critical_gamma(StateFamily(Family.CLUSTER, 2), cut_of(2, {1}), 0.9, 0.1)
+            critical_gamma(StateFamily(Family.CLUSTER, 2), [cut_of(2, {1})], 0.9, 0.1)
 
     def test_rejects_mismatched_cut(self):
         with pytest.raises(InvalidPartitionError):
-            critical_gamma(StateFamily(Family.CLUSTER, 3), cut_of(2, {1}), 0.1, 0.9)
+            critical_gamma(StateFamily(Family.CLUSTER, 3), [cut_of(2, {1})], 0.1, 0.9)
         with pytest.raises(InvalidPartitionError):
-            critical_gamma(StateFamily(Family.GHZ, 3), cut_of(2, {1}), 0.1, 0.9)
+            critical_gamma(StateFamily(Family.GHZ, 3), [cut_of(2, {1})], 0.1, 0.9)
+        with pytest.raises(InvalidPartitionError):
+            critical_gamma(
+                StateFamily(Family.CLUSTER, 3), [cut_of(3, {1}), cut_of(2, {1})], 0.1, 0.9
+            )
