@@ -329,8 +329,12 @@ def test_criterion_9_channel_sanity_and_self_verification():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert elapsed < 300.0
     # seed 7 is the default; every report line is pinned
-    golden = Path(__file__).parent / "data" / "golden" / "verify_n5_seed7.txt"
-    assert proc.stdout == golden.read_text()
+    golden = Path(__file__).parent / "data" / "golden"
+    assert proc.stdout == (golden / "verify_n5_seed7.txt").read_text()
+    # every cut of every n up to 7 is gated too
+    proc7 = run_python("-m", "decohere", "verify", "--max-n", "7", "--seed", "7", timeout=300)
+    assert proc7.returncode == 0, proc7.stdout + proc7.stderr
+    assert proc7.stdout == (golden / "verify_n7_seed7.txt").read_text()
     print(
         f"[criterion 9] PASS - 500 channel-sanity cases (trace/Hermiticity/"
         f"PSD/composition, worst composition gap {worst_compose:.3e}); "
