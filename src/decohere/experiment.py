@@ -269,10 +269,32 @@ def parse_config(data) -> ExperimentConfig:
     return ExperimentConfig(family, points, sweep)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A safe loader that refuses a key written twice in one mapping, which
+    plain YAML loading would silently resolve to its last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+            except TypeError:  # unhashable; the base loader reports it
+                continue
+            if repeated:
+                raise ConfigError(
+                    f"repeated key {key!r} at line {key_node.start_mark.line + 1}"
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

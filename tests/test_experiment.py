@@ -516,6 +516,20 @@ class TestCLI:
         assert proc.returncode == 2
         assert "lambda" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("family: ghz\nn_qubits: 2\nfamily: w\nschedule:\n  K: 1\n  lambda: 0.9\n", "family"),
+            ("family: ghz\nn_qubits: 2\nschedule:\n  K: 1\n  lambda: 0.9\n  lambda: 0.5\n", "lambda"),
+        ],
+    )
+    def test_repeated_key_exits_2(self, tmp_path, text, key):
+        # YAML loading alone would keep the last value and run something else
+        proc = self.run_cli("single", "--config", self.write_yaml(tmp_path, text))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"decohere: repeated key '{key}'")
+        assert proc.stdout == ""
+
     def test_non_finite_phase_exits_2(self, tmp_path):
         # a NaN phi, and a finite phi whose product with K overflows
         for schedule in (

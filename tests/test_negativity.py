@@ -34,7 +34,7 @@ from decohere import (
     to_density,
     w_negativity_formula,
 )
-from decohere import negativity
+from decohere import negativity, verify
 from decohere.negativity import _SPECTRA, _pt_eigs, closed_form
 from decohere.tolerances import PSD_FLOOR
 from decohere.verify import random_density, run_suite
@@ -450,6 +450,44 @@ def test_verify_fails_a_mutated_structured_spectrum(monkeypatch, kind, mutant):
     monkeypatch.setitem(negativity._SPECTRA, kind, mutant)
     failed = [r.name for r in run_suite(max_n=5, seed=7) if not r.passed]
     assert failed == [f"{kind.value}_structured_vs_dense"]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pt_spectrum_bounded_by_frobenius_norm(n):
+    """A PT permutes entries, so no PT eigenvalue exceeds ||rho||_F in
+    magnitude: ``pt_spectrum_range`` may skip states with ||rho||_F <= 1/2."""
+    rng = np.random.default_rng([n, 7])
+    for _ in range(5):
+        rho = random_density(rng, n)
+        fro = np.linalg.norm(rho.mat)
+        for cut in enumerate_cuts(n):
+            eigs = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+            assert np.abs(eigs).max() <= fro * (1.0 + 1e-12), cut.human()
+
+
+def test_pt_spectrum_range_still_eigensolves(monkeypatch):
+    """The Frobenius skip leaves the n = 2 draws to the eigensolver, so the
+    property never becomes vacuous."""
+    solved = []
+
+    def spy(rho, cut):
+        solved.append(rho.n_qubits)
+        return _pt_eigs(rho, cut)
+
+    monkeypatch.setattr(verify, "_pt_eigs", spy)
+    result = verify.check_pt_spectrum_range(5, np.random.default_rng([7, 2]))
+    assert result.passed
+    assert 2 in solved
+
+
+def test_verify_gates_the_family_pt_range(monkeypatch):
+    """Family states out of [-1/2, 1] fail ``*_structured_vs_dense`` even
+    when the structured and dense spectra agree."""
+    ghz = negativity._SPECTRA[Family.GHZ]
+    monkeypatch.setitem(negativity._SPECTRA, Family.GHZ, lambda gamma, cut: 3.0 * ghz(gamma, cut))
+    monkeypatch.setattr(verify, "_pt_eigs", lambda rho, cut: 3.0 * _pt_eigs(rho, cut))
+    failed = [r.name for r in run_suite(max_n=5, seed=7) if not r.passed]
+    assert "ghz_structured_vs_dense" in failed
 
 
 class TestDenseSupport:
