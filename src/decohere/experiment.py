@@ -17,9 +17,10 @@ A config file is a YAML document with exactly these fields::
       parameter: lambda | K | n_qubits
       values: [...]           # strictly increasing
 
-Unknown fields anywhere are an error — configs fail fast rather than running
-something other than what was written. Cut bitmasks use the external
-encoding: bit (i-1) set means qubit i belongs to P1.
+Unknown fields anywhere are an error, and so is a key written twice in one
+mapping — configs fail fast rather than running something other than what
+was written. Cut bitmasks use the external encoding: bit (i-1) set means
+qubit i belongs to P1.
 
 Parsing reduces a config to its evaluated points: one for a plain config,
 one per sweep value in value order. Each point is the per-qubit

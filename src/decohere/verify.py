@@ -5,9 +5,9 @@ channel conservation laws, microscopic/reduced agreement, and, per family,
 agreement of the structured PT spectrum (the path behind every CSV row and
 threshold) with the dense eigensolver on every cut, with the dense spectrum
 inside the PT range [-1/2, 1] — is encoded here as a named property over
-seeded random inputs. The ``decohere verify``
-subcommand runs this suite and reports one pass/fail line per property with
-the worst observed error; the test suite reuses the same functions.
+seeded random inputs. The ``decohere verify`` subcommand runs this suite and
+reports one pass/fail line per property with the worst observed error; the
+test suite reuses the same functions.
 
 Each property draws from its own deterministically derived RNG stream, so
 identical (max_n, seed) arguments always exercise identical inputs.

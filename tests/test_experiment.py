@@ -228,6 +228,21 @@ class TestParsing:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_load_config_unhashable_key(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("family: w\n[1, 2]: 3\n")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    def test_load_config_merge_key_may_be_overridden(self, tmp_path):
+        # a YAML merge supplies defaults that later keys override; no repeat
+        path = tmp_path / "merge.yaml"
+        path.write_text(
+            "family: w\nn_qubits: 2\nschedule: {<<: {K: 1, lambda: 0.8}, lambda: 0.5}\n"
+        )
+        ((agg, _),) = load_config(str(path)).points
+        assert agg.gamma.tolist() == [0.5, 0.5]
+
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text(
