@@ -80,12 +80,6 @@ class CollisionSchedule:
         return cls(n_qubits, ((one,) * collisions_per_qubit,) * n_qubits)
 
 
-def _require_unit_gamma(gamma: np.ndarray) -> None:
-    # Written so that NaN, which fails every comparison, is rejected too.
-    if not np.all((gamma >= 0.0) & (gamma <= 1.0)):
-        raise ValueError("gamma values must lie in [0, 1]")
-
-
 @dataclass(frozen=True, eq=False)
 class AggregateDephasing:
     """The net per-qubit dephasing data: gamma in [0,1] and a phase."""
@@ -103,7 +97,9 @@ class AggregateDephasing:
             raise InvalidSizeError(
                 f"phase shape {phase.shape} does not match gamma shape {gamma.shape}"
             )
-        _require_unit_gamma(gamma)
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not np.all((gamma >= 0.0) & (gamma <= 1.0)):
+            raise ValueError("gamma values must lie in [0, 1]")
         if not np.isfinite(phase).all():
             raise ValueError("phase values must be finite")
         object.__setattr__(self, "gamma", gamma)

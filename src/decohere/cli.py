@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DecohereError
+from .errors import ConfigError, DecohereError
 from .experiment import load_config, run_single, run_sweep, write_csv
 from .tolerances import MAX_QUBITS
 from .verify import format_report, run_suite
@@ -52,16 +52,19 @@ def _cmd_single(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rows = run_sweep(load_config(args.config))
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                write_csv(rows, fh)
-        except OSError as exc:
-            print(f"decohere: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        write_csv(rows, sys.stdout)
+    config = load_config(args.config)
+    if not args.out:
+        write_csv(run_sweep(config), sys.stdout)
+        return 0
+    if config.sweep is None:  # refused before --out is created
+        raise ConfigError("run_sweep: config has no sweep block; use run_single")
+    try:  # opened before any point is evaluated, so a bad path fails fast
+        fh = open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"decohere: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
+    with fh:
+        write_csv(run_sweep(config), fh)
     return 0
 
 

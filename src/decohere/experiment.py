@@ -182,20 +182,18 @@ def _resolve_cuts(cuts, n_qubits: int) -> tuple[BipartiteCut, ...]:
                 f"explicitly above {ALL_CUTS_LIMIT} qubits"
             )
         return tuple(enumerate_cuts(n_qubits))
-    resolved = []
-    seen = set()
+    resolved = {}  # insertion-ordered, so rows follow the listed order
     for mask in cuts:
         try:
-            cut = BipartiteCut.from_cli_bitmask(n_qubits, mask)
+            cut = BipartiteCut(n_qubits, mask)
         except DecohereError as exc:
             raise ConfigError(f"cuts: {exc}") from exc
-        if cut.cli_bitmask in seen:
+        if cut in resolved:
             raise ConfigError(
                 f"cuts: bitmask {mask} duplicates cut {cut.human()} "
                 "(a mask and its complement are the same cut)"
             )
-        seen.add(cut.cli_bitmask)
-        resolved.append(cut)
+        resolved[cut] = None
     return tuple(resolved)
 
 
@@ -298,7 +296,8 @@ def load_config(path: str) -> ExperimentConfig:
             data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
+        # non-UTF-8 bytes, or nesting deeper than the YAML composer can recurse
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     return parse_config(data)
 

@@ -80,9 +80,6 @@ class QubitSubset:
     def __len__(self) -> int:
         return len(self.members)
 
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
 
 class DensityMatrix:
     """A validated n-qubit density matrix.

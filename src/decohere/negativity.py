@@ -7,6 +7,10 @@ computes the exact PT spectrum (the oracle), evaluates the closed-form
 predictions available for the GHZ, W, and short linear-cluster families, and
 locates critical dephasing strengths by bisection.
 
+A cut is its canonical bitmask (``BipartiteCut``), which enumeration, CSV
+rows and the structured spectra read; member sets are built only for the
+dense partial transpose and the closed forms.
+
 The oracle has two paths, chosen by what it is given. A ``DensityMatrix``
 gets a dense partial transpose, eigensolved only on the indices whose row or
 column holds a nonzero; every other index is an exact zero eigenvalue, so a
@@ -38,12 +42,13 @@ eigenvalue; the cluster closed form predicts the negativity sum.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .channel import AggregateDephasing, _require_unit_gamma
+from .channel import AggregateDephasing
 from .errors import BracketError, FormulaUnavailableError, InvalidPartitionError, InvalidSizeError
 from .linalg import DensityMatrix, QubitSubset, partial_transpose
 from .states import Family, StateFamily
@@ -52,57 +57,55 @@ from .tolerances import BISECTION_WIDTH, PSD_FLOOR
 
 @dataclass(frozen=True)
 class BipartiteCut:
-    """A partition of an n-qubit register into two nonempty groups.
+    """A partition of an n-qubit register into two nonempty groups, held as
+    its external bitmask: bit (i-1) set means qubit i is in P1.
 
-    Canonical form: ``p1`` is the side containing qubit 1, so a cut and its
-    complement are one object. Construction canonicalizes automatically.
+    Canonical form: P1 is the side containing qubit 1, so the mask is odd
+    and a cut and its complement are one object: ``BipartiteCut(3, 0b110)``
+    is ``1|2,3``, mask 1. ``p1`` and ``p2`` are built when read.
     """
 
     n_qubits: int
-    p1: QubitSubset
+    cli_bitmask: int
 
     def __post_init__(self):
-        if self.p1.n_qubits != self.n_qubits:
+        n, mask = self.n_qubits, self.cli_bitmask
+        try:
+            n, mask = operator.index(n), operator.index(mask)
+            proper = 0 < mask < (full := 2**n - 1)
+        except TypeError:
+            proper = False
+        if not proper:
             raise InvalidPartitionError(
-                f"subset over {self.p1.n_qubits} qubits used in a {self.n_qubits}-qubit cut"
+                f"cut bitmask {mask!r} does not describe a proper bipartition of {n!r} qubits"
             )
-        size = len(self.p1)
-        if size == 0 or size == self.n_qubits:
-            raise InvalidPartitionError("cut sides must both be nonempty")
-        if 1 not in self.p1.members:
-            object.__setattr__(self, "p1", self.p1.complement())
+        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "cli_bitmask", mask if mask & 1 else full ^ mask)
 
     @classmethod
     def from_members(cls, n_qubits: int, members) -> "BipartiteCut":
-        return cls(n_qubits, QubitSubset(n_qubits, frozenset(members)))
+        p1 = QubitSubset(n_qubits, frozenset(members))
+        return cls(n_qubits, sum(1 << (q - 1) for q in p1.members))
 
     @classmethod
     def from_cli_bitmask(cls, n_qubits: int, bitmask: int) -> "BipartiteCut":
-        """Decode the external encoding: bit (i-1) set means qubit i in P1."""
-        if not 0 < bitmask < 2**n_qubits - 1:
-            raise InvalidPartitionError(
-                f"cut bitmask {bitmask} does not describe a proper bipartition "
-                f"of {n_qubits} qubits"
-            )
-        members = frozenset(i + 1 for i in range(n_qubits) if bitmask >> i & 1)
-        return cls(n_qubits, QubitSubset(n_qubits, members))
+        return cls(n_qubits, bitmask)
+
+    def _side(self, bit: int) -> list[int]:
+        """The qubits of P1 (``bit`` 1) or P2 (``bit`` 0), ascending."""
+        return [q for q in range(1, self.n_qubits + 1) if self.cli_bitmask >> (q - 1) & 1 == bit]
+
+    @property
+    def p1(self) -> QubitSubset:
+        return QubitSubset(self.n_qubits, frozenset(self._side(1)))
 
     @property
     def p2(self) -> QubitSubset:
         return self.p1.complement()
 
-    @property
-    def cli_bitmask(self) -> int:
-        mask = 0
-        for q in self.p1.members:
-            mask |= 1 << (q - 1)
-        return mask
-
     def human(self) -> str:
         """Render as e.g. ``1,3|2``."""
-        left = ",".join(str(q) for q in self.p1.sorted_members())
-        right = ",".join(str(q) for q in self.p2.sorted_members())
-        return f"{left}|{right}"
+        return "|".join(",".join(map(str, self._side(bit))) for bit in (1, 0))
 
 
 @dataclass(frozen=True)
@@ -142,10 +145,7 @@ def enumerate_cuts(n_qubits: int) -> list[BipartiteCut]:
     """
     if n_qubits < 2:
         raise InvalidSizeError(f"cuts need at least 2 qubits, got {n_qubits}")
-    full = 2**n_qubits - 1
-    return [
-        BipartiteCut.from_cli_bitmask(n_qubits, mask) for mask in range(1, full, 2)
-    ]
+    return [BipartiteCut(n_qubits, mask) for mask in range(1, 2**n_qubits - 1, 2)]
 
 
 def _report(cut: BipartiteCut, eigs: np.ndarray) -> NegativityReport:
@@ -174,7 +174,7 @@ def _w_spectrum(gamma: np.ndarray, cut: BipartiteCut) -> np.ndarray:
     and the arrow block on span{|0...0>, |e_i + e_j> : i in A, j in B},
     whose only nonzero eigenvalues are +-(1/n) sqrt(sum_A gamma^2 * sum_B gamma^2)."""
     n = gamma.size
-    sides = [gamma[[q - 1 for q in part.sorted_members()]] for part in (cut.p1, cut.p2)]
+    sides = [gamma[[q - 1 for q in cut._side(bit)]] for bit in (1, 0)]
     blocks = []
     for g in sides:
         gram = np.outer(g, g)
@@ -182,6 +182,15 @@ def _w_spectrum(gamma: np.ndarray, cut: BipartiteCut) -> np.ndarray:
         blocks.append(np.linalg.eigvalsh(gram))
     arrow = np.sqrt(np.sum(sides[0] ** 2) * np.sum(sides[1] ** 2))
     return np.concatenate([*blocks, [arrow, -arrow], np.zeros(2**n - n - 2)]) / n
+
+
+def _crossing_edges(cuts, n_qubits: int) -> np.ndarray:
+    """Which chain edges cross each cut: entry [r, i-1] is True iff qubits i
+    and i+1 lie on different sides of ``cuts[r]``. Bit i-1 of ``m ^ m >> 1``
+    compares bits i-1 and i of the mask m; the masks stay Python ints, so
+    any n works."""
+    flips = np.array([c.cli_bitmask ^ c.cli_bitmask >> 1 for c in cuts], dtype=object)
+    return (flips[:, None] >> np.arange(n_qubits - 1) & 1).astype(bool)
 
 
 def _cluster_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
@@ -199,10 +208,7 @@ def _cluster_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
     k, n = gamma.shape
     # signed[r, i] is gamma_{i+1}, negated if edge (i, i+1) crosses cuts[r]
     signed = gamma.copy()
-    for r, cut in enumerate(cuts):
-        for i in range(1, n):
-            if (i in cut.p1.members) != (i + 1 in cut.p1.members):
-                signed[r, i] *= -1.0
+    signed[:, 1:][_crossing_edges(cuts, n)] *= -1.0
     # Append s_{i+1} as the lowest bit: f(.., s_i, 1) is f(.., s_i) times
     # gamma_{i+1}, or times signed[i] when s_i = 1. Negating a factor is
     # exact, so each value is the plain product with its crossing signs.
@@ -324,21 +330,13 @@ def cluster_negativity_formula(agg: AggregateDephasing, cut: BipartiteCut) -> fl
             f"aggregate covers {agg.n_qubits} qubits, cut is over {n}"
         )
     g = agg.gamma
-    if n == 2:
-        return max(_edge_negativity(g[0], g[1]), 0.0)
-    if n == 3:
-        members = cut.p1.members
-        if members == {1}:
-            return max(_edge_negativity(g[0], g[1]), 0.0)
-        if members == {1, 2}:
-            return max(_edge_negativity(g[1], g[2]), 0.0)
-        # middle cut {1,3}|{2}
-        return max(
-            _edge_negativity(g[0], g[1]),
-            _edge_negativity(g[1], g[2]),
-            _chain_negativity(g[0], g[1], g[2]),
-            0.0,
-        )
+    if n <= 3:
+        # one term per crossing edge, plus the chain term on the middle cut
+        crossing = np.flatnonzero(_crossing_edges([cut], n)[0])
+        terms = [_edge_negativity(g[i], g[i + 1]) for i in crossing]
+        if crossing.size == 2:
+            terms.append(_chain_negativity(g[0], g[1], g[2]))
+        return max(*terms, 0.0)
     raise FormulaUnavailableError(
         f"no closed-form cluster negativity for {n} qubits; use negativity_oracle"
     )
@@ -425,7 +423,6 @@ def critical_gamma(
         for start in range(0, len(cuts), rows):
             block = slice(start, start + rows)
             rows_gamma = np.repeat(gamma[block, None], n, axis=1)
-            _require_unit_gamma(rows_gamma)
             out[block] = _is_npt(_cluster_spectrum(rows_gamma, cuts[block]).min(axis=1))
         return out
 

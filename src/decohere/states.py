@@ -13,6 +13,7 @@ arrays in the computational basis (qubit 1 = most significant bit):
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,10 @@ class StateFamily:
     n_qubits: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n_qubits", operator.index(self.n_qubits))
+        except TypeError as exc:
+            raise InvalidSizeError(f"n_qubits must be an integer, got {self.n_qubits!r}") from exc
         if self.n_qubits < 2:
             raise InvalidSizeError(
                 f"{self.kind.value} states need at least 2 qubits, got {self.n_qubits}"
@@ -48,7 +53,7 @@ class StateFamily:
 
 def make_ghz(n: int) -> np.ndarray:
     """(|0...0> + |1...1>)/sqrt(2)."""
-    n = StateFamily(Family.GHZ, int(n)).n_qubits
+    n = StateFamily(Family.GHZ, n).n_qubits
     psi = np.zeros(2**n, dtype=np.complex128)
     psi[0] = psi[-1] = 1.0 / np.sqrt(2.0)
     return psi
@@ -56,7 +61,7 @@ def make_ghz(n: int) -> np.ndarray:
 
 def make_w(n: int) -> np.ndarray:
     """Equal superposition of all weight-1 basis kets, 1/sqrt(n) each."""
-    n = StateFamily(Family.W, int(n)).n_qubits
+    n = StateFamily(Family.W, n).n_qubits
     psi = np.zeros(2**n, dtype=np.complex128)
     for q in range(n):
         psi[1 << q] = 1.0 / np.sqrt(n)
@@ -71,7 +76,7 @@ def make_cluster(n: int) -> np.ndarray:
     adjacency maps to bit adjacency under the MSB-first convention, so
     ``b & (b >> 1)`` marks exactly the adjacent pairs.
     """
-    n = StateFamily(Family.CLUSTER, int(n)).n_qubits
+    n = StateFamily(Family.CLUSTER, n).n_qubits
     scale = 2.0 ** (-n / 2.0)
     psi = np.empty(2**n, dtype=np.complex128)
     for b in range(2**n):

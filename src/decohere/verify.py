@@ -118,8 +118,7 @@ def random_micro_spec(rng: np.random.Generator) -> MicroCollisionSpec:
 
 
 def random_cut(rng: np.random.Generator, n_qubits: int) -> BipartiteCut:
-    mask = int(rng.integers(1, 2**n_qubits - 1))
-    return BipartiteCut.from_cli_bitmask(n_qubits, mask)
+    return BipartiteCut(n_qubits, int(rng.integers(1, 2**n_qubits - 1)))
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from decohere.experiment import (
     run_sweep,
     write_csv,
 )
-from decohere import linalg, negativity
+from decohere import cli, linalg, negativity
 from decohere.negativity import closed_form
 from decohere.tolerances import PSD_FLOOR
 
@@ -569,6 +569,19 @@ class TestCLI:
         assert "decohere: schedule.K" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"family: ghz\nn_qubits: 2\n\xff\xfe: 1\n", b"[" * 3000 + b"]" * 3000],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_undecodable_config_exits_2(self, tmp_path, content):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(content)
+        proc = self.run_cli("single", "--config", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"decohere: config file {path}")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_config_file_exits_2(self, tmp_path):
         proc = self.run_cli("single", "--config", str(tmp_path / "absent.yaml"))
         assert proc.returncode == 2
@@ -586,6 +599,32 @@ class TestCLI:
         )
         assert proc.returncode == 2
         assert proc.stderr.strip()
+
+    def test_unwritable_output_fails_before_any_point_runs(self, tmp_path, monkeypatch, capsys):
+        path = self.write_yaml(
+            tmp_path,
+            "family: ghz\nn_qubits: 2\ncuts: [1]\n"
+            "schedule:\n  K: 1\n  lambda: 0.9\n"
+            "sweep:\n  parameter: K\n  values: [1, 2]\n",
+        )
+
+        def no_run(config):
+            raise AssertionError("run_sweep called before --out was opened")
+
+        monkeypatch.setattr(cli, "run_sweep", no_run)
+        out = tmp_path / "no-dir" / "x.csv"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"decohere: cannot write {out}")
+
+    def test_sweep_without_sweep_block_leaves_no_file(self, tmp_path):
+        path = self.write_yaml(
+            tmp_path, "family: ghz\nn_qubits: 2\nschedule:\n  K: 1\n  lambda: 0.9\n"
+        )
+        out = tmp_path / "x.csv"
+        proc = self.run_cli("sweep", "--config", path, "--out", str(out))
+        assert proc.returncode == 2
+        assert "no sweep block" in proc.stderr
+        assert not out.exists()
 
     def test_missing_subcommand_exits_2(self):
         proc = self.run_cli()

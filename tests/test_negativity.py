@@ -84,6 +84,24 @@ class TestBipartiteCut:
         with pytest.raises(InvalidPartitionError):
             BipartiteCut.from_cli_bitmask(3, bad)
 
+    @pytest.mark.parametrize("n, mask", [(3, 1.5), (3, "1"), (-1, 1), (3.0, 1)])
+    def test_rejects_non_integer_masks_and_bad_sizes(self, n, mask):
+        with pytest.raises(InvalidPartitionError):
+            BipartiteCut.from_cli_bitmask(n, mask)
+
+    def test_negative_size_is_a_partition_error(self):
+        with pytest.raises(InvalidPartitionError):
+            BipartiteCut(-1, 1)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_cut_and_complement_are_one_object(self, n):
+        full = 2**n - 1
+        for cut in enumerate_cuts(n):
+            twin = BipartiteCut.from_cli_bitmask(n, full ^ cut.cli_bitmask)
+            assert twin == cut and hash(twin) == hash(cut)
+            assert cut_of(n, cut.p2.members) == cut
+            assert BipartiteCut(n, np.int64(cut.cli_bitmask)) == cut
+
 
 class TestEnumerateCuts:
     def test_counts(self):
@@ -104,6 +122,30 @@ class TestEnumerateCuts:
     def test_rejects_single_qubit(self):
         with pytest.raises(InvalidSizeError):
             enumerate_cuts(1)
+
+    def test_builds_no_qubit_subsets(self, monkeypatch):
+        """A cut is its mask; members are built only when a side is read."""
+        built = []
+        post_init = QubitSubset.__post_init__
+        monkeypatch.setattr(
+            QubitSubset, "__post_init__", lambda self: (built.append(self), post_init(self))
+        )
+        cuts = enumerate_cuts(10)
+        assert len(cuts) == 511 and built == []
+        cuts[0].p1
+        assert len(built) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_crossing_edges_from_the_mask_match_members(n):
+    """Edge (i, i+1) crosses a cut iff qubits i and i+1 lie on different
+    sides, read here from the members rather than the mask."""
+    cuts = enumerate_cuts(n)
+    want = [
+        [(i in cut.p1.members) != (i + 1 in cut.p1.members) for i in range(1, n)]
+        for cut in cuts
+    ]
+    assert negativity._crossing_edges(cuts, n).tolist() == want
 
 
 class TestOracle:
@@ -432,7 +474,7 @@ def _cluster_sign_on_kept_edges(gamma, cut):
         side ^= (i in cut.p1.members) == (i + 1 in cut.p1.members)
         if side:
             members.add(i + 1)
-    flipped = SimpleNamespace(p1=SimpleNamespace(members=members))
+    flipped = SimpleNamespace(cli_bitmask=sum(1 << (q - 1) for q in members))
     return negativity._cluster_spectrum(gamma[None, :], [flipped])[0]
 
 

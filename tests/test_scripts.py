@@ -1,4 +1,5 @@
-"""The runnable experiments under scripts/, each in its own interpreter."""
+"""The runnable experiments under scripts/ and the README's Python example,
+each in its own interpreter."""
 
 import pytest
 from conftest import ROOT, run_python
@@ -66,3 +67,13 @@ def test_unwritable_out_is_a_usage_error(name, tmp_path):
     assert "--out" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_readme_quick_tour_runs_as_written():
+    """The quick-tour block is the documented API: it must run unchanged and
+    end on the cluster-pair threshold sqrt(2) - 1."""
+    tour = (ROOT / "README.md").read_text().split("## Quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert abs(float(proc.stdout.splitlines()[-1]) - (2**0.5 - 1)) < 1e-9

@@ -135,6 +135,19 @@ class TestFamilyPlumbing:
         with pytest.raises(InvalidSizeError):
             maker(1)
 
+    @pytest.mark.parametrize("n", [2.5, 2.9, "3"])
+    def test_rejects_non_integer_qubit_counts(self, n):
+        with pytest.raises(InvalidSizeError):
+            StateFamily(Family.GHZ, n)
+        with pytest.raises(InvalidSizeError):
+            StateFamily(Family.W, n)
+        with pytest.raises(InvalidSizeError):
+            make_ghz(n)  # no silent truncation to 2 qubits
+
+    def test_accepts_numpy_integer_qubit_counts(self):
+        assert StateFamily(Family.W, np.int64(3)).n_qubits == 3
+        assert np.array_equal(make_cluster(np.int64(3)), make_cluster(3))
+
     def test_rejects_oversized(self):
         from decohere import CapacityError
 
