@@ -47,12 +47,7 @@ import yaml
 
 from .channel import TWO_PI, AggregateDephasing
 from .errors import ConfigError, DecohereError, FormulaUnavailableError
-from .negativity import (
-    BipartiteCut,
-    closed_form,
-    enumerate_cuts,
-    negativity_oracle,
-)
+from .negativity import BipartiteCut, _report, _structured_spectra, closed_form, enumerate_cuts
 from .states import Family, StateFamily
 from .tolerances import MAX_QUBITS
 
@@ -326,8 +321,8 @@ def _point_rows(
     gammas = tuple(float(g) for g in agg.gamma)
 
     rows = []
-    for cut in cuts:
-        report = negativity_oracle((family, agg), cut)
+    for cut, spectrum in _structured_spectra(family, agg, cuts):
+        report = _report(cut, spectrum)
         try:
             value, predicts = closed_form(family, agg, cut)
             oracle_side = getattr(report, predicts)
@@ -398,14 +393,17 @@ def _fmt(x: Union[float, None]) -> str:
 def write_csv(rows, stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
+    gammas = text = None
     for row in rows:
+        if row.gammas is not gammas:  # a point's rows share one tuple; not ==, as 0.0 == -0.0
+            gammas, text = row.gammas, ";".join(_fmt(g) for g in row.gammas)
         writer.writerow(
             [
                 row.family,
                 row.n_qubits,
                 row.cut.cli_bitmask,
                 row.cut.human(),
-                ";".join(_fmt(g) for g in row.gammas),
+                text,
                 _fmt(row.min_eigenvalue),
                 _fmt(row.negativity_sum),
                 _fmt(row.formula_value),

@@ -58,6 +58,12 @@ class QubitSubset:
     members: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n_qubits", operator.index(self.n_qubits))
+        except TypeError as exc:
+            raise InvalidPartitionError(
+                f"n_qubits must be an integer, got {self.n_qubits!r}"
+            ) from exc
         if self.n_qubits < 1:
             raise InvalidPartitionError(f"n_qubits must be >= 1, got {self.n_qubits}")
         try:

@@ -21,11 +21,10 @@ spectrum written down from the family's structure, with no 2^n x 2^n matrix
 diagonal in the graph-state basis and the PT only flips stabilizer signs, so
 the cluster spectrum is one Walsh-Hadamard transform; the W PT is block
 diagonal with exactly one negative eigenvalue; the GHZ spectrum is
-{1/2, 1/2, +-prod(gamma)/2} plus zeros. The bisection reads the structured
-cluster spectrum and bisects all the cuts of a chain in lockstep, each
-step one batched Walsh-Hadamard transform over the cuts' own midpoints;
-GHZ and W have no transition to bisect, since they are NPT on every cut for
-every gamma > 0.
+{1/2, 1/2, +-prod(gamma)/2} plus zeros. The structured path evaluates all
+the cuts of a point in blocked batched kernel calls, and the bisection
+steps all the cuts of a cluster chain in lockstep; GHZ and W have no
+transition to bisect, since they are NPT on every cut for every gamma > 0.
 
 Two scalar summaries of a PT spectrum are reported side by side:
 
@@ -143,6 +142,10 @@ def enumerate_cuts(n_qubits: int) -> list[BipartiteCut]:
     Canonical cuts keep qubit 1 in P1, so their bitmasks are exactly the odd
     integers below the all-qubits mask.
     """
+    try:
+        n_qubits = operator.index(n_qubits)
+    except TypeError as exc:
+        raise InvalidSizeError(f"n_qubits must be an integer, got {n_qubits!r}") from exc
     if n_qubits < 2:
         raise InvalidSizeError(f"cuts need at least 2 qubits, got {n_qubits}")
     return [BipartiteCut(n_qubits, mask) for mask in range(1, 2**n_qubits - 1, 2)]
@@ -161,27 +164,33 @@ def _report(cut: BipartiteCut, eigs: np.ndarray) -> NegativityReport:
     )
 
 
-def _ghz_spectrum(gamma: np.ndarray, cut: BipartiteCut) -> np.ndarray:
+def _ghz_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
     """The PT couples |0...0> and |1...1> only through the pair (1_A 0_B,
     0_A 1_B), whose block has zero diagonal: {1/2, 1/2, +-prod(gamma)/2}."""
-    half = 0.5 * np.prod(gamma)
-    return np.concatenate([[0.5, 0.5, half, -half], np.zeros(2**gamma.size - 4)])
+    out = np.zeros((len(cuts), 2 ** gamma.shape[1]))
+    for row, g in zip(out, gamma):
+        half = 0.5 * np.prod(g)
+        row[:4] = 0.5, 0.5, half, -half
+    return out
 
 
-def _w_spectrum(gamma: np.ndarray, cut: BipartiteCut) -> np.ndarray:
+def _w_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
     """Block diagonal: the Gram blocks G_AA/n and G_BB/n on the single
     excitations (G_ij = gamma_i gamma_j, G_ii = 1, positive semidefinite),
     and the arrow block on span{|0...0>, |e_i + e_j> : i in A, j in B},
     whose only nonzero eigenvalues are +-(1/n) sqrt(sum_A gamma^2 * sum_B gamma^2)."""
-    n = gamma.size
-    sides = [gamma[[q - 1 for q in cut._side(bit)]] for bit in (1, 0)]
-    blocks = []
-    for g in sides:
-        gram = np.outer(g, g)
-        np.fill_diagonal(gram, 1.0)
-        blocks.append(np.linalg.eigvalsh(gram))
-    arrow = np.sqrt(np.sum(sides[0] ** 2) * np.sum(sides[1] ** 2))
-    return np.concatenate([*blocks, [arrow, -arrow], np.zeros(2**n - n - 2)]) / n
+    k, n = gamma.shape
+    out = np.zeros((k, 2**n))
+    for row, g, cut in zip(out, gamma, cuts):
+        sides = [g[[q - 1 for q in cut._side(bit)]] for bit in (1, 0)]
+        blocks = []
+        for side in sides:
+            gram = np.outer(side, side)
+            np.fill_diagonal(gram, 1.0)
+            blocks.append(np.linalg.eigvalsh(gram))
+        arrow = np.sqrt(np.sum(sides[0] ** 2) * np.sum(sides[1] ** 2))
+        row[: n + 2] = np.concatenate([*blocks, [arrow, -arrow]]) / n
+    return out
 
 
 def _crossing_edges(cuts, n_qubits: int) -> np.ndarray:
@@ -196,14 +205,11 @@ def _crossing_edges(cuts, n_qubits: int) -> np.ndarray:
 def _cluster_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
     """Walsh-Hadamard transform of the stabilizer weights, one row per cut.
 
-    ``gamma`` has shape (k, n) and ``cuts`` holds k cuts; row r of the
-    result is the spectrum of ``cuts[r]`` at the per-qubit dephasing
-    ``gamma[r]``. Rows never mix, so a row holds the same floats whichever
-    rows share its call. The dephased state is 2^-n sum_s f(s) K^s over the
-    stabilizer products K^s, with f(s) = prod_i gamma_i^s_i. The PT flips
-    the sign of K^s once per crossing edge (i, i+1) with s_i = s_{i+1} = 1,
-    and the K^s stay commuting, so the eigenvalue on the graph-basis ket |t>
-    is 2^-n sum_s f(s) (-1)^(s.t). Qubit 1 is the most significant bit of s.
+    The dephased state is 2^-n sum_s f(s) K^s over the stabilizer products
+    K^s, with f(s) = prod_i gamma_i^s_i. The PT flips the sign of K^s once
+    per crossing edge (i, i+1) with s_i = s_{i+1} = 1, and the K^s stay
+    commuting, so the eigenvalue on the graph-basis ket |t> is
+    2^-n sum_s f(s) (-1)^(s.t). Qubit 1 is the most significant bit of s.
     """
     k, n = gamma.shape
     # signed[r, i] is gamma_{i+1}, negated if edge (i, i+1) crosses cuts[r]
@@ -229,12 +235,32 @@ def _cluster_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
     return f * 2.0**-n
 
 
-def _cluster_row(gamma: np.ndarray, cut: BipartiteCut) -> np.ndarray:
-    """The spectrum of one cut at one gamma: a one-row ``_cluster_spectrum``."""
-    return _cluster_spectrum(gamma[None, :], [cut])[0]
+# The structured PT spectra, by family: gamma of shape (k, n) and k cuts give
+# a (k, 2^n) array whose row r is the spectrum of cuts[r] at gamma[r]. Rows
+# never mix, so a row holds the same floats whichever rows share its call.
+_SPECTRA = {Family.GHZ: _ghz_spectrum, Family.W: _w_spectrum, Family.CLUSTER: _cluster_spectrum}
+
+# Most spectrum values one kernel call may hold: blocks of 2^16 / 2^n cuts
+# keep each temporary at 512 KiB, where all 2,047 cuts of a 12-qubit chain
+# at once would need arrays of 67 MB each.
+_BLOCK_VALUES = 2**16
 
 
-_SPECTRA = {Family.GHZ: _ghz_spectrum, Family.W: _w_spectrum, Family.CLUSTER: _cluster_row}
+def _spectrum_blocks(kind: Family, gamma: np.ndarray, cuts):
+    """Yield ``(block, spectra)``: one ``_SPECTRA`` call per slice ``block`` of
+    at most ``_BLOCK_VALUES >> n`` cuts of the sequence ``cuts``, one row each."""
+    rows = max(1, _BLOCK_VALUES >> gamma.shape[1])
+    for start in range(0, len(cuts), rows):
+        block = slice(start, start + rows)
+        yield block, _SPECTRA[kind](gamma[block], cuts[block])
+
+
+def _structured_spectra(family: StateFamily, agg: AggregateDephasing, cuts):
+    """Yield ``(cut, spectrum)`` for each cut of the sequence ``cuts``, in
+    order: the structured PT spectrum of ``family`` under ``agg``."""
+    gamma = np.repeat(agg.gamma[None, :], len(cuts), axis=0)
+    for block, spectra in _spectrum_blocks(family.kind, gamma, cuts):
+        yield from zip(cuts[block], spectra)
 
 
 def _pt_eigs(rho: DensityMatrix, cut: BipartiteCut) -> np.ndarray:
@@ -282,7 +308,8 @@ def negativity_oracle(
         raise InvalidSizeError(
             f"aggregate covers {agg.n_qubits} qubits, family has {family.n_qubits}"
         )
-    return _report(cut, _SPECTRA[family.kind](agg.gamma, cut))
+    [(_, spectrum)] = _structured_spectra(family, agg, [cut])
+    return _report(cut, spectrum)
 
 
 def ghz_negativity_formula(agg: AggregateDephasing) -> float:
@@ -372,13 +399,6 @@ def distillability_check(rho: DensityMatrix) -> DistillabilityVerdict:
     )
 
 
-# Most spectrum values one kernel call of ``critical_gamma`` may hold. A
-# chain's cuts are bisected in blocks of 2^16 / 2^n cuts, so each temporary
-# of the transform is 512 KiB whatever the cut count: without blocks, the
-# 2,047 cuts of a 12-qubit chain would need arrays of 67 MB each.
-_LOCKSTEP_VALUES = 2**16
-
-
 def critical_gamma(
     family: StateFamily,
     cuts: list[BipartiteCut],
@@ -395,7 +415,7 @@ def critical_gamma(
     and no step builds a matrix. Every cut starts from ``[lo, hi]`` and
     halves its own bracket, so the cuts advance in lockstep: each step reads
     the spectra of all cuts at their own midpoints from one batched
-    transform per block of ``_LOCKSTEP_VALUES``. Each cut sees the arithmetic
+    transform per block of ``_BLOCK_VALUES``. Each cut sees the arithmetic
     of a one-cut bisection, so its threshold is the same float.
 
     Every cut must straddle the transition, or BracketError names those
@@ -415,15 +435,13 @@ def critical_gamma(
             f"{family.kind.value} states are NPT on every cut for every gamma > 0; "
             "no transition to bisect"
         )
-    rows = max(1, _LOCKSTEP_VALUES >> n)
 
     def is_npt(gamma: np.ndarray) -> np.ndarray:
         """The verdict of cut r at homogeneous gamma[r], for every r."""
         out = np.empty(len(cuts), dtype=bool)
-        for start in range(0, len(cuts), rows):
-            block = slice(start, start + rows)
-            rows_gamma = np.repeat(gamma[block, None], n, axis=1)
-            out[block] = _is_npt(_cluster_spectrum(rows_gamma, cuts[block]).min(axis=1))
+        rows = np.repeat(gamma[:, None], n, axis=1)
+        for block, spectra in _spectrum_blocks(Family.CLUSTER, rows, cuts):
+            out[block] = _is_npt(spectra.min(axis=1))
         return out
 
     a, b = np.full(len(cuts), float(lo)), np.full(len(cuts), float(hi))

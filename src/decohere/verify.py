@@ -42,10 +42,10 @@ from .linalg import (
     partial_transpose,
 )
 from .negativity import (
-    _SPECTRA,
     BipartiteCut,
     _pt_eigs,
     _report,
+    _structured_spectra,
     enumerate_cuts,
     negativity_oracle,
 )
@@ -407,9 +407,9 @@ def check_structured_vs_dense(
     Per n there are two aggregates: random gamma and phases, and the same
     kind of draw with one random qubit at gamma = 0, which empties PT rows
     and columns. Phases reach the dense side only, so agreement also shows
-    that they never move the spectrum. The dense report is ``_report`` of
-    the dense spectrum, exactly what ``negativity_oracle(rho, cut)``
-    returns, so each cut is eigensolved once.
+    that they never move the spectrum. Each report is ``_report`` of its
+    path's spectrum, exactly what ``negativity_oracle`` returns, so each cut
+    is eigensolved once and each aggregate takes one batched kernel call.
     """
     worst = 0.0
     for n in range(2, max_n + 1):
@@ -420,12 +420,12 @@ def check_structured_vs_dense(
         gamma[rng.integers(n)] = 0.0
         for agg in (live, AggregateDephasing(gamma, dead.phase)):
             rho = apply_dephasing(pure, agg)
-            for cut in enumerate_cuts(n):
+            for cut, spectrum in _structured_spectra(family, agg, enumerate_cuts(n)):
                 eigs = _pt_eigs(rho, cut)
-                fast, dense = negativity_oracle((family, agg), cut), _report(cut, eigs)
+                fast, dense = _report(cut, spectrum), _report(cut, eigs)
                 worst = max(
                     worst,
-                    np.abs(np.sort(_SPECTRA[kind](agg.gamma, cut)) - eigs).max(),
+                    np.abs(np.sort(spectrum) - eigs).max(),
                     abs(fast.min_eigenvalue - dense.min_eigenvalue),
                     abs(fast.negativity_sum - dense.negativity_sum),
                     -0.5 - eigs[0],

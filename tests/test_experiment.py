@@ -1,3 +1,4 @@
+import csv
 import io
 from pathlib import Path
 
@@ -393,6 +394,63 @@ class TestNoDensityMatrix:
         assert len(run_sweep(parse_config(sweep))) == 14
 
 
+class TestBlockedKernelCalls:
+    """``_point_rows`` reads all cuts of a point from one kernel call per
+    block of ``_BLOCK_VALUES >> n`` rows."""
+
+    @staticmethod
+    def spy_on(monkeypatch, kind):
+        calls, kernel = [], negativity._SPECTRA[kind]
+
+        def spy(gamma, cuts):
+            calls.append(gamma.shape)
+            return kernel(gamma, cuts)
+
+        monkeypatch.setitem(negativity._SPECTRA, kind, spy)
+        return calls
+
+    def test_twelve_qubit_cuts_across_three_blocks(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        masks = rng.choice(np.arange(1, 2**12 - 1, 2), size=40, replace=False)
+        config = parse_config(
+            {
+                "family": "cluster",
+                "n_qubits": 12,
+                "schedule": {"gammas": [float(g) for g in rng.uniform(0.6, 0.98, 12)]},
+                "cuts": [int(m) for m in masks],
+            }
+        )
+        [(agg, cuts)] = config.points
+        calls = self.spy_on(monkeypatch, Family.CLUSTER)
+        rows = run_single(config)
+        assert calls == [(16, 12), (16, 12), (8, 12)]
+        family = StateFamily(Family.CLUSTER, 12)
+        for row, cut in zip(rows, cuts, strict=True):
+            report = negativity.negativity_oracle((family, agg), cut)
+            assert (row.cut, row.min_eigenvalue, row.negativity_sum) == (
+                report.cut,
+                report.min_eigenvalue,
+                report.negativity_sum,
+            )
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_calls_per_point(self, family, monkeypatch):
+        sweep = base_config(
+            family=family.value,
+            n_qubits=2,
+            cuts="all",
+            sweep={"parameter": "n_qubits", "values": [2, 7, 8, 9, 10]},
+        )
+        calls = self.spy_on(monkeypatch, family)
+        run_sweep(parse_config(sweep))
+        want = []
+        for n in (2, 7, 8, 9, 10):
+            cuts, rows = 2 ** (n - 1) - 1, negativity._BLOCK_VALUES >> n
+            want += [(rows, n)] * (cuts // rows) + [(cuts % rows, n)] * (cuts % rows > 0)
+        assert calls == want
+        assert max(k * 2**n for k, n in calls) <= negativity._BLOCK_VALUES
+
+
 class TestCSV:
     def test_header_exact(self):
         assert CSV_HEADER == [
@@ -410,8 +468,6 @@ class TestCSV:
         assert text == ",".join(CSV_HEADER) + "\n"
 
     def test_rows_round_trip_through_repr(self):
-        import csv
-
         config = parse_config(base_config(schedule={"gammas": [0.3, 0.7, 0.9]}))
         rows = run_single(config)
         parsed = list(csv.reader(io.StringIO(csv_text(rows))))
@@ -427,6 +483,18 @@ class TestCSV:
             assert float(fields[6]) == row.negativity_sum
             assert float(fields[7]) == row.formula_value
             assert float(fields[8]) == row.abs_error
+
+    def test_gammas_field_follows_each_point(self):
+        # lambda = -0.0 gives gamma -0.0 at K = 1 and 0.0 at K = 2: equal
+        # tuples, different reprs, so the field must not be reused by value
+        config = parse_config(
+            base_config(schedule={"K": 1, "lambda": -0.0}, sweep={"parameter": "K", "values": [1, 2]})
+        )
+        rows = run_sweep(config)
+        assert rows[0].gammas == rows[-1].gammas
+        fields = [line[4] for line in csv.reader(io.StringIO(csv_text(rows)))][1:]
+        assert fields == [";".join(map(repr, row.gammas)) for row in rows]
+        assert fields[0] == "-0.0;-0.0;-0.0" and fields[-1] == "0.0;0.0;0.0"
 
     def test_blank_fields_for_missing_formula(self):
         config = parse_config(

@@ -107,7 +107,12 @@ class TestQubitSubset:
             with pytest.raises(InvalidPartitionError):
                 BipartiteCut.from_members(3, {bad})
 
+    def test_rejects_non_integer_register_size(self):
+        with pytest.raises(InvalidPartitionError):
+            QubitSubset(2.5, frozenset({1}))
+
     def test_accepts_numpy_integers(self):
+        assert type(QubitSubset(np.int64(3), frozenset({1})).n_qubits) is int
         sub = QubitSubset(3, frozenset({np.int64(2)}))
         assert sub.members == frozenset({2})
         assert all(type(q) is int for q in sub.members)

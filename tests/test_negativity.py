@@ -91,6 +91,10 @@ class TestBipartiteCut:
         with pytest.raises(InvalidPartitionError):
             BipartiteCut.from_cli_bitmask(n, mask)
 
+    def test_from_members_rejects_non_integer_register_size(self):
+        with pytest.raises(InvalidPartitionError):
+            BipartiteCut.from_members("3", {1})
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_cut_and_complement_are_one_object(self, n):
         full = 2**n - 1
@@ -120,6 +124,14 @@ class TestEnumerateCuts:
     def test_rejects_single_qubit(self):
         with pytest.raises(InvalidSizeError):
             enumerate_cuts(1)
+
+    def test_rejects_fractional_size(self):
+        with pytest.raises(InvalidSizeError):
+            enumerate_cuts(2.5)
+
+    def test_rejects_string_size(self):
+        with pytest.raises(InvalidSizeError):
+            enumerate_cuts("3")
 
     def test_builds_no_qubit_subsets(self, monkeypatch):
         """A cut is its mask; members are built only when a side is read."""
@@ -417,7 +429,7 @@ class TestStructuredMatchesDense:
         rho = apply_dephasing(to_density(make_state(family)), agg)
         for cut in cuts:
             full = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
-            structured = _SPECTRA[family.kind](agg.gamma, cut)
+            structured = _SPECTRA[family.kind](agg.gamma[None, :], [cut])[0]
             report = negativity_oracle((family, agg), cut)
             assert_matches_full(structured, report, full, ("structured", cut.human()))
             report = negativity_oracle(rho, cut)
@@ -456,23 +468,28 @@ class TestStructuredMatchesDense:
         self.assert_agree(StateFamily(kind, 10), agg, cuts)
 
 
-def _ghz_without_gamma1(gamma, cut):
-    return negativity._ghz_spectrum(np.concatenate([[1.0], gamma[1:]]), cut)
+def _ghz_without_gamma1(gamma, cuts):
+    dropped = gamma.copy()
+    dropped[:, 0] = 1.0
+    return negativity._ghz_spectrum(dropped, cuts)
 
 
-def _w_prefactor_n_minus_1(gamma, cut):
-    return negativity._w_spectrum(gamma, cut) * gamma.size / (gamma.size - 1)
+def _w_prefactor_n_minus_1(gamma, cuts):
+    n = gamma.shape[1]
+    return negativity._w_spectrum(gamma, cuts) * n / (n - 1)
 
 
-def _cluster_sign_on_kept_edges(gamma, cut):
-    # a side pattern whose crossing edges are exactly the cut's kept edges
-    side, members = True, {1}
-    for i in range(1, gamma.size):
-        side ^= (i in cut.p1.members) == (i + 1 in cut.p1.members)
-        if side:
-            members.add(i + 1)
-    flipped = SimpleNamespace(cli_bitmask=sum(1 << (q - 1) for q in members))
-    return negativity._cluster_spectrum(gamma[None, :], [flipped])[0]
+def _cluster_sign_on_kept_edges(gamma, cuts):
+    # per cut, a side pattern whose crossing edges are exactly its kept edges
+    flipped = []
+    for cut in cuts:
+        side, members = True, {1}
+        for i in range(1, gamma.shape[1]):
+            side ^= (i in cut.p1.members) == (i + 1 in cut.p1.members)
+            if side:
+                members.add(i + 1)
+        flipped.append(SimpleNamespace(cli_bitmask=sum(1 << (q - 1) for q in members)))
+    return negativity._cluster_spectrum(gamma, flipped)
 
 
 @pytest.mark.parametrize(
@@ -523,7 +540,7 @@ def test_verify_gates_the_family_pt_range(monkeypatch):
     """Family states out of [-1/2, 1] fail ``*_structured_vs_dense`` even
     when the structured and dense spectra agree."""
     ghz = negativity._SPECTRA[Family.GHZ]
-    monkeypatch.setitem(negativity._SPECTRA, Family.GHZ, lambda gamma, cut: 3.0 * ghz(gamma, cut))
+    monkeypatch.setitem(negativity._SPECTRA, Family.GHZ, lambda gamma, cuts: 3.0 * ghz(gamma, cuts))
     monkeypatch.setattr(verify, "_pt_eigs", lambda rho, cut: 3.0 * _pt_eigs(rho, cut))
     failed = [r.name for r in run_suite(max_n=5, seed=7) if not r.passed]
     assert "ghz_structured_vs_dense" in failed
@@ -605,21 +622,34 @@ class TestHomogeneousNPT:
                 ).npt, (cut.human(), gamma)
 
 
-class TestClusterKernel:
-    """``_cluster_spectrum`` takes one row per cut; each row holds the same
-    floats as a one-row call."""
+class TestStructuredKernels:
+    """Each ``_SPECTRA`` kernel takes one row per cut; each row holds the
+    same floats as a one-cut call."""
 
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_batched_rows_equal_one_row_calls(self, n):
-        rng = np.random.default_rng([n, 2])
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_batched_rows_equal_one_row_calls(self, kind, n):
+        rng = np.random.default_rng([n, 2, list(Family).index(kind)])
         cuts = enumerate_cuts(n)
         gamma = rng.uniform(0, 1, (len(cuts), n))
-        batched = negativity._cluster_spectrum(gamma, cuts)
+        batched = _SPECTRA[kind](gamma, cuts)
         assert batched.shape == (len(cuts), 2**n)
         for row, cut in enumerate(cuts):
-            single = negativity._cluster_spectrum(gamma[row : row + 1], [cut])
+            single = _SPECTRA[kind](gamma[row : row + 1], [cut])
             assert np.array_equal(batched[row], single[0]), cut.human()
-            assert np.array_equal(single[0], _SPECTRA[Family.CLUSTER](gamma[row], cut))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_batched_reports_equal_the_oracle(self, kind, n):
+        rng = np.random.default_rng([n, 3, list(Family).index(kind)])
+        family = StateFamily(kind, n)
+        agg = AggregateDephasing(rng.uniform(0, 1, n), rng.uniform(0, 2 * np.pi, n))
+        cuts = enumerate_cuts(n)
+        got = [
+            negativity._report(cut, spectrum)
+            for cut, spectrum in negativity._structured_spectra(family, agg, cuts)
+        ]
+        assert got == [negativity_oracle((family, agg), cut) for cut in cuts]
 
 
 class TestCriticalGamma:
@@ -676,12 +706,12 @@ class TestCriticalGamma:
             values.append(gamma.shape[0] * 2**n)
             return kernel(gamma, cuts)
 
-        monkeypatch.setattr(negativity, "_cluster_spectrum", spy)
+        monkeypatch.setitem(negativity._SPECTRA, Family.CLUSTER, spy)
         cuts = enumerate_cuts(n)
         assert len(cuts) == 511
         got = critical_gamma(StateFamily(Family.CLUSTER, n), cuts, 0.05, 0.999)
         assert len(got) == 511
-        assert max(values) <= negativity._LOCKSTEP_VALUES
+        assert max(values) <= negativity._BLOCK_VALUES
         # the blocks cover every cut once per evaluation of the predicate
         assert sum(values) % (511 * 2**n) == 0
 
