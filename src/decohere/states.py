@@ -96,9 +96,14 @@ def make_state(family: StateFamily) -> np.ndarray:
 def to_density(psi: np.ndarray) -> DensityMatrix:
     """Outer product of a normalized state vector, as a DensityMatrix.
 
-    Only the ket is checked, before the dim x dim product is allocated.
+    Only the ket is checked, before the dim x dim product is allocated: it
+    must be 1-D, with at least 2 amplitudes.
     """
     psi = np.asarray(psi, dtype=np.complex128)
+    if psi.ndim != 1 or psi.size < 2:
+        raise InvalidSizeError(
+            f"expected a 1-D ket of at least 2 amplitudes, got shape {psi.shape}"
+        )
     norm_check(psi)
     n = int(psi.size).bit_length() - 1
     if 2**n != psi.size:

@@ -43,7 +43,7 @@ from .linalg import (
 )
 from .negativity import (
     BipartiteCut,
-    _pt_eigs,
+    _dense_spectra,
     _report,
     _structured_spectra,
     enumerate_cuts,
@@ -169,8 +169,7 @@ def check_pt_spectrum_range(max_n: int, rng: np.random.Generator) -> PropertyRes
             rho = random_density(rng, n)
             if np.linalg.norm(rho.mat) <= 0.5:
                 continue
-            for cut in enumerate_cuts(n):
-                eigs = _pt_eigs(rho, cut)
+            for _, eigs in _dense_spectra(rho, enumerate_cuts(n)):
                 worst = max(worst, float(-0.5 - eigs[0]), float(eigs[-1] - 1.0))
     return PropertyResult("pt_spectrum_range", worst <= 1e-9, worst, 1e-9)
 
@@ -342,10 +341,8 @@ def check_strict_positivity_persistence(max_n: int, rng: np.random.Generator) ->
                     min_collisions=1, max_collisions=2,
                 )
                 dephased = apply_dephasing(rho, schedule_aggregate(sched))
-                for cut in enumerate_cuts(n):
-                    worst_margin = max(
-                        worst_margin, negativity_oracle(dephased, cut).min_eigenvalue
-                    )
+                for _, eigs in _dense_spectra(dephased, enumerate_cuts(n)):
+                    worst_margin = max(worst_margin, float(eigs[0]))
     return PropertyResult(
         "strict_positivity_persistence",
         worst_margin < 0.0,
@@ -418,10 +415,12 @@ def check_structured_vs_dense(
         live, dead = random_aggregate(rng, n), random_aggregate(rng, n)
         gamma = dead.gamma.copy()
         gamma[rng.integers(n)] = 0.0
+        cuts = enumerate_cuts(n)
         for agg in (live, AggregateDephasing(gamma, dead.phase)):
             rho = apply_dephasing(pure, agg)
-            for cut, spectrum in _structured_spectra(family, agg, enumerate_cuts(n)):
-                eigs = _pt_eigs(rho, cut)
+            for (cut, spectrum), (_, eigs) in zip(
+                _structured_spectra(family, agg, cuts), _dense_spectra(rho, cuts)
+            ):
                 fast, dense = _report(cut, spectrum), _report(cut, eigs)
                 worst = max(
                     worst,

@@ -35,7 +35,7 @@ from decohere import (
     w_negativity_formula,
 )
 from decohere import negativity, verify
-from decohere.negativity import _SPECTRA, _pt_eigs, closed_form
+from decohere.negativity import _SPECTRA, _dense_spectra, closed_form
 from decohere.tolerances import PSD_FLOOR
 from decohere.verify import random_density, run_suite
 
@@ -60,6 +60,27 @@ def assert_matches_full(eigs, report, full, label):
     assert np.count_nonzero(eigs < PSD_FLOOR) == negatives.size, label
     assert abs(report.min_eigenvalue - full[0]) <= 1e-12, label
     assert abs(report.negativity_sum + negatives.sum()) <= 1e-12, label
+
+
+def reference_pt_spectrum(rho, cut):
+    """The dense spectrum by the route ``_dense_spectra`` replaced: the whole
+    partial transpose, restricted to the indices whose row or column holds a
+    nonzero, one ``eigvalsh`` call, padded with exact zeros and sorted."""
+    pt = partial_transpose(rho, cut.p1)
+    nonzero = pt != 0
+    live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    eigs = np.linalg.eigvalsh(pt[np.ix_(live, live)])
+    return np.sort(np.concatenate([eigs, np.zeros(rho.dim - live.size)]))
+
+
+def dense_spectra(rho, cuts):
+    """``_dense_spectra`` of every cut, in order, each spectrum bit for bit
+    the reference route's."""
+    pairs = list(_dense_spectra(rho, cuts))
+    assert [cut for cut, _ in pairs] == list(cuts)
+    for cut, eigs in pairs:
+        assert eigs.tobytes() == reference_pt_spectrum(rho, cut).tobytes(), cut.human()
+    return [eigs for _, eigs in pairs]
 
 
 class TestBipartiteCut:
@@ -184,9 +205,11 @@ class TestOracle:
         assert report.negativity_sum == 0.0
 
     def test_rejects_mismatched_cut(self):
-        # raised by the partial transpose; the dense path has no check of its own
+        rho = to_density(make_ghz(3))
         with pytest.raises(InvalidPartitionError):
-            negativity_oracle(to_density(make_ghz(3)), cut_of(2, {1}))
+            negativity_oracle(rho, cut_of(2, {1}))
+        with pytest.raises(InvalidPartitionError):
+            list(_dense_spectra(rho, [cut_of(3, {1}), cut_of(2, {1})]))
         with pytest.raises(InvalidPartitionError):
             negativity_oracle((StateFamily(Family.GHZ, 3), homog(3, 0.5)), cut_of(2, {1}))
 
@@ -242,6 +265,30 @@ class TestGHZFormula:
         cut = cuts[int(rng.integers(len(cuts)))]
         report = negativity_oracle(rho, cut)
         assert abs(report.min_eigenvalue - ghz_negativity_formula(agg)) < 1e-10
+
+
+    # GHZ at n = 6 under homogeneous gamma = 0.01: every cut's PT minimum is
+    # -gamma^6 / 2 = -5e-13, above PSD_FLOOR = -1e-10 (ROADMAP item 4)
+    @staticmethod
+    def small_gamma_spectra():
+        n, agg = 6, homog(6, 0.01)
+        rho = apply_dephasing(to_density(make_ghz(n)), agg)
+        cuts = enumerate_cuts(n)
+        structured = negativity._structured_spectra(StateFamily(Family.GHZ, n), agg, cuts)
+        return [[eigs for _, eigs in spectra] for spectra in (_dense_spectra(rho, cuts), structured)]
+
+    def test_small_gamma_minimum_on_every_cut(self):
+        for spectra in self.small_gamma_spectra():
+            assert len(spectra) == 31
+            for eigs in spectra:
+                assert abs(eigs.min() - (-0.5 * 0.01**6)) <= 1e-15
+
+    @pytest.mark.xfail(
+        strict=True, reason="the absolute PSD_FLOOR reads -5e-13 as PPT (ROADMAP item 4)"
+    )
+    def test_small_gamma_is_npt_on_every_cut(self):
+        for spectra in self.small_gamma_spectra():
+            assert all(eigs.min() < PSD_FLOOR for eigs in spectra)
 
 
 class TestWFormula:
@@ -386,28 +433,45 @@ class TestDistillability:
             report = negativity_oracle(reduced, cut)
             assert abs(report.min_eigenvalue - (-0.25)) < 1e-12
 
+    @staticmethod
+    def assert_every_cut_matches_structured(kind, n, monkeypatch):
+        """``distillability_check`` on a dephased family state solves every
+        cut once, in order, and each minimum eigenvalue, the verdict and the
+        worst cut agree with the structured spectra to 1e-12."""
+        rng = np.random.default_rng(n)
+        agg = AggregateDephasing(rng.uniform(0, 1, n), rng.uniform(0, 2 * np.pi, n))
+        family = StateFamily(kind, n)
+        rho = apply_dephasing(to_density(make_state(family)), agg)
+        solved = []
+        dense = negativity._dense_spectra
+
+        def record(state, cuts):
+            for cut, eigs in dense(state, cuts):
+                solved.append((cut, eigs[0]))
+                yield cut, eigs
+
+        monkeypatch.setattr(negativity, "_dense_spectra", record)
+        verdict = distillability_check(rho)
+        cuts = enumerate_cuts(n)
+        assert [cut for cut, _ in solved] == cuts
+        structured = {
+            cut: spectrum.min() for cut, spectrum in negativity._structured_spectra(family, agg, cuts)
+        }
+        for cut, smallest in solved:
+            assert abs(smallest - structured[cut]) <= 1e-12, cut.human()
+        assert verdict.all_cuts_npt
+        assert verdict.all_cuts_npt == all(value < PSD_FLOOR for value in structured.values())
+        assert structured[verdict.worst_cut] >= max(structured.values()) - 1e-12
+
     def test_dephased_w9_every_cut(self, monkeypatch):
         # 255 cuts at dim 512; the dense path solves each PT on its
         # 1 + 9 + |A||B| live indices
-        n = 9
-        rng = np.random.default_rng(9)
-        agg = AggregateDephasing(rng.uniform(0, 1, n), rng.uniform(0, 2 * np.pi, n))
-        rho = apply_dephasing(to_density(make_w(n)), agg)
-        reports = []
-        oracle = negativity.negativity_oracle
+        self.assert_every_cut_matches_structured(Family.W, 9, monkeypatch)
 
-        def record(state, cut):
-            reports.append(oracle(state, cut))
-            return reports[-1]
-
-        monkeypatch.setattr(negativity, "negativity_oracle", record)
-        verdict = distillability_check(rho)
-        assert verdict.all_cuts_npt
-        assert [r.cut for r in reports] == enumerate_cuts(n)
-        family = StateFamily(Family.W, n)
-        for report in reports:
-            structured = oracle((family, agg), report.cut)
-            assert abs(report.min_eigenvalue - structured.min_eigenvalue) <= 1e-12
+    @pytest.mark.parametrize("kind", [Family.GHZ, Family.W])
+    def test_dephased_ten_qubits_every_cut(self, kind, monkeypatch):
+        # all 511 cuts at dim 1024
+        self.assert_every_cut_matches_structured(kind, 10, monkeypatch)
 
     def test_worst_cut_is_closest_to_ppt(self):
         # between the two thresholds only the middle-qubit cut stays NPT, so
@@ -427,13 +491,13 @@ class TestStructuredMatchesDense:
     @staticmethod
     def assert_agree(family, agg, cuts):
         rho = apply_dephasing(to_density(make_state(family)), agg)
-        for cut in cuts:
+        for cut, dense in zip(cuts, dense_spectra(rho, cuts)):
             full = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
             structured = _SPECTRA[family.kind](agg.gamma[None, :], [cut])[0]
             report = negativity_oracle((family, agg), cut)
             assert_matches_full(structured, report, full, ("structured", cut.human()))
             report = negativity_oracle(rho, cut)
-            assert_matches_full(_pt_eigs(rho, cut), report, full, ("dense", cut.human()))
+            assert_matches_full(dense, report, full, ("dense", cut.human()))
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("kind", list(Family))
@@ -526,11 +590,12 @@ def test_pt_spectrum_range_still_eigensolves(monkeypatch):
     property never becomes vacuous."""
     solved = []
 
-    def spy(rho, cut):
-        solved.append(rho.n_qubits)
-        return _pt_eigs(rho, cut)
+    def spy(rho, cuts):
+        for cut, eigs in _dense_spectra(rho, cuts):
+            solved.append(rho.n_qubits)
+            yield cut, eigs
 
-    monkeypatch.setattr(verify, "_pt_eigs", spy)
+    monkeypatch.setattr(verify, "_dense_spectra", spy)
     result = verify.check_pt_spectrum_range(5, np.random.default_rng([7, 2]))
     assert result.passed
     assert 2 in solved
@@ -541,23 +606,28 @@ def test_verify_gates_the_family_pt_range(monkeypatch):
     when the structured and dense spectra agree."""
     ghz = negativity._SPECTRA[Family.GHZ]
     monkeypatch.setitem(negativity._SPECTRA, Family.GHZ, lambda gamma, cuts: 3.0 * ghz(gamma, cuts))
-    monkeypatch.setattr(verify, "_pt_eigs", lambda rho, cut: 3.0 * _pt_eigs(rho, cut))
+    monkeypatch.setattr(
+        verify,
+        "_dense_spectra",
+        lambda rho, cuts: ((cut, 3.0 * eigs) for cut, eigs in _dense_spectra(rho, cuts)),
+    )
     failed = [r.name for r in run_suite(max_n=5, seed=7) if not r.passed]
     assert "ghz_structured_vs_dense" in failed
 
 
 class TestDenseSupport:
     """The dense path eigensolves the indices whose PT row or column holds a
-    nonzero, and pads the spectrum with exact zeros."""
+    nonzero, and pads the spectrum with exact zeros: the same bits as the
+    reference route, which builds the whole partial transpose."""
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_random_full_rank(self, n):
         rng = np.random.default_rng([n, 99])
         for _ in range(3):
             rho = random_density(rng, n)
-            for cut in enumerate_cuts(n):
+            cuts = enumerate_cuts(n)
+            for cut, eigs in zip(cuts, dense_spectra(rho, cuts)):
                 full = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
-                eigs = _pt_eigs(rho, cut)
                 assert_matches_full(eigs, negativity_oracle(rho, cut), full, cut.human())
 
     def test_one_sided_zero_pattern(self):
@@ -575,7 +645,8 @@ class TestDenseSupport:
         cut = cut_of(n, {1})
         full = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
         assert full[0] < -10 * eps
-        assert_matches_full(_pt_eigs(rho, cut), negativity_oracle(rho, cut), full, cut.human())
+        [eigs] = dense_spectra(rho, [cut])
+        assert_matches_full(eigs, negativity_oracle(rho, cut), full, cut.human())
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("kind", list(Family))
@@ -586,23 +657,35 @@ class TestDenseSupport:
         rng = np.random.default_rng([n, list(Family).index(kind), 1])
         agg = AggregateDephasing(rng.uniform(0.05, 0.95, n), rng.uniform(0, 2 * np.pi, n))
         rho = apply_dephasing(to_density(make_state(StateFamily(kind, n))), agg)
-        sizes = []
+        sizes, calls = [], []
         eigvalsh = np.linalg.eigvalsh
 
         def spy(a, *args, **kwargs):
-            sizes.append(a.shape)
+            # a stack of matrices: one size per matrix solved
+            calls.append(a.shape)
+            sizes.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        for cut in enumerate_cuts(n):
-            sizes.clear()
-            negativity_oracle(rho, cut)
-            expected = {
+        cuts = enumerate_cuts(n)
+        expected = [
+            {
                 Family.GHZ: 4,
                 Family.W: 1 + n + len(cut.p1) * len(cut.p2),
                 Family.CLUSTER: 2**n,
             }[kind]
-            assert sizes == [(expected, expected)], cut.human()
+            for cut in cuts
+        ]
+        for cut, size in zip(cuts, expected):
+            sizes.clear()
+            negativity_oracle(rho, cut)
+            assert sizes == [size], cut.human()
+        # all cuts at once: the same solves, blocks of one size stacked
+        sizes.clear(), calls.clear()
+        list(_dense_spectra(rho, cuts))
+        assert sorted(sizes) == sorted(expected)
+        if kind is Family.GHZ:
+            assert len(calls) == 1
 
 
 class TestHomogeneousNPT:

@@ -168,6 +168,16 @@ class TestFamilyPlumbing:
             with pytest.raises(NormalizationError):
                 to_density(np.array(bad, dtype=complex))
 
+    def test_to_density_rejects_a_matrix(self):
+        # a normalized 2x2 array would otherwise read as a 2-qubit ket
+        with pytest.raises(InvalidSizeError):
+            to_density(np.eye(2) / np.sqrt(2.0))
+
+    def test_to_density_rejects_a_single_amplitude(self):
+        # it would otherwise be a 0-qubit state
+        with pytest.raises(InvalidSizeError):
+            to_density(np.array([1.0 + 0.0j]))
+
     def test_to_density_checks_capacity_before_allocating(self):
         psi = make_ghz(12)
         psi = np.concatenate([psi, np.zeros_like(psi)])  # a 13-qubit ket
