@@ -12,10 +12,13 @@ Conventions used everywhere in this package:
   arrays of length ``2**n``.
 
 Spectra come from ``np.linalg.eigvalsh`` on a validated density matrix or
-on the part of its partial transpose that holds nonzeros (the dense oracle
-in ``negativity`` pads the rest with exact zeros). A partial transpose only
-moves entries, so its Hermiticity defect is exactly that of the matrix it
-came from.
+on the part of its partial transpose that holds nonzeros. The dense oracle
+in ``negativity`` finds a matrix's nonzeros once for all cuts, gathers each
+cut's live block straight from the matrix through the bit swap that
+``partial_transpose`` performs (and calls ``partial_transpose`` only when
+every index is live), solves blocks of equal size in one stacked call and
+pads the rest with exact zeros. A partial transpose only moves entries, so
+its Hermiticity defect is exactly that of the matrix it came from.
 """
 
 from __future__ import annotations

@@ -12,10 +12,13 @@ rows and the structured spectra read; member sets are built only for the
 dense partial transpose and the closed forms.
 
 The oracle has two paths, chosen by what it is given. A ``DensityMatrix``
-gets a dense partial transpose, eigensolved only on the indices whose row or
+gets its partial transpose eigensolved only on the indices whose row or
 column holds a nonzero; every other index is an exact zero eigenvalue, so a
 dephased GHZ PT is solved as a 4 x 4 matrix and a W PT as one of size
-1 + n + |A||B|. A family state under an ``AggregateDephasing`` gets its
+1 + n + |A||B|. One pass over the nonzeros of rho serves every cut: each
+cut's live indices are read through the PT's bit swap, only that block is
+gathered from rho, and blocks of equal size are solved in one stacked
+``eigvalsh`` call. A family state under an ``AggregateDephasing`` gets its
 spectrum written down from the family's structure, with no 2^n x 2^n matrix
 (Hein, Eisert, Briegel, PRA 69, 062311 (2004)): a dephased graph state stays
 diagonal in the graph-state basis and the PT only flips stabilizer signs, so
@@ -275,20 +278,18 @@ def _dense_spectra(rho: DensityMatrix, cuts):
     order: the ascending spectrum of ``rho``'s partial transpose on that
     cut, solved on its support.
 
-    Entry (i, j) of the PT on P1 is rho[i ^ d, j ^ d] with d = (i ^ j) & m,
-    where m holds the index bits of P1's qubits, so the nonzeros (a, b) of
-    ``rho``, found once per state, land at (a ^ d, b ^ d) with
-    d = (a ^ b) & m. An index whose PT row and column are both zero is an
-    exact eigenvalue 0 and decouples from the rest, so ``eigvalsh`` runs on
-    the principal block of the other indices, gathered from ``rho``, and the
-    spectrum is padded with exact zeros. Rows alone would not do:
-    ``eigvalsh`` reads one triangle, and a matrix Hermitian only within
+    Entry (i, j) of the PT is rho[i ^ d, j ^ d], d = (i ^ j) & m, where m
+    holds the index bits of P1's qubits, so each nonzero (a, b) of ``rho``
+    (found once per state) lands at (a ^ d, b ^ d), d = (a ^ b) & m. An
+    index whose PT row and column are both zero is an exact eigenvalue 0,
+    so only the block of the other indices is gathered and solved, and the
+    spectrum is padded with zeros. Rows alone would not do: ``eigvalsh``
+    reads one triangle, and a matrix Hermitian only within
     ``HERMITICITY_TOL`` can hold an entry whose mirror is zero. When every
-    index is live, the axis swap of ``partial_transpose`` builds the block
-    faster than a gather. Consecutive cuts are held up to
-    ``_DENSE_STACK_ENTRIES`` block entries, and blocks of equal size are
-    solved in one stacked ``eigvalsh`` call, which gives each block the
-    floats of a call of its own.
+    index is live, the axis swap of ``partial_transpose`` is faster than a
+    gather. Blocks of equal size among consecutive cuts, up to
+    ``_DENSE_STACK_ENTRIES`` entries, share one stacked ``eigvalsh`` call,
+    which gives each block the floats of a call of its own.
     """
     n, dim, mat = rho.n_qubits, rho.dim, rho.mat
     full_support = np.count_nonzero(mat) == mat.size
@@ -343,8 +344,8 @@ def negativity_oracle(
     """Exact PT spectrum summary for one cut.
 
     ``state`` is either a ``DensityMatrix``, whose partial transpose is
-    built and solved densely on the rows and columns it touches, the rest
-    padded with exact zeros (``_pt_eigs``), or a ``(StateFamily,
+    solved densely on the rows and columns it touches, the rest padded with
+    exact zeros (``_dense_spectra``), or a ``(StateFamily,
     AggregateDephasing)`` pair: the family state under that dephasing, whose
     PT spectrum is written down from the family's structure without
     building any matrix. Phases are local Rz rotations and do not enter that

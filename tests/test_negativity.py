@@ -266,7 +266,6 @@ class TestGHZFormula:
         report = negativity_oracle(rho, cut)
         assert abs(report.min_eigenvalue - ghz_negativity_formula(agg)) < 1e-10
 
-
     # GHZ at n = 6 under homogeneous gamma = 0.01: every cut's PT minimum is
     # -gamma^6 / 2 = -5e-13, above PSD_FLOOR = -1e-10 (ROADMAP item 4)
     @staticmethod
@@ -681,7 +680,8 @@ class TestDenseSupport:
             negativity_oracle(rho, cut)
             assert sizes == [size], cut.human()
         # all cuts at once: the same solves, blocks of one size stacked
-        sizes.clear(), calls.clear()
+        sizes.clear()
+        calls.clear()
         list(_dense_spectra(rho, cuts))
         assert sorted(sizes) == sorted(expected)
         if kind is Family.GHZ:
