@@ -41,7 +41,6 @@ from .experiment import (
 )
 from .linalg import (
     DensityMatrix,
-    QubitSubset,
     kron,
     partial_trace,
     partial_transpose,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidPartitionError, InvalidSizeError
-from .linalg import DensityMatrix, QubitSubset, _qubit_view, kron, norm_check, partial_trace
+from .linalg import DensityMatrix, _qubit_view, kron, norm_check, partial_trace
 
 TWO_PI = 2.0 * np.pi
 
@@ -232,7 +232,7 @@ def apply_microscopic_collision(
     tensor = np.moveaxis(tensor, [-2, -1], [sys_col, env_col])
 
     evolved = DensityMatrix(n + 1, tensor.reshape(2 ** (n + 1), 2 ** (n + 1)))
-    return partial_trace(evolved, QubitSubset(n + 1, frozenset({n + 1})))
+    return partial_trace(evolved, 1 << n)  # bit n: the environment, qubit n+1
 
 
 def apply_dephasing(rho: DensityMatrix, agg: AggregateDephasing) -> DensityMatrix:

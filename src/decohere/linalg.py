@@ -8,6 +8,10 @@ Conventions used everywhere in this package:
 * Operations on single qubits of a matrix work on its tensor view of rank
   2n (one length-2 axis per qubit per index) from ``_qubit_view``: qubit q
   sits on axes ``(q-1, n+q-1)``, its row and its column.
+* A set of qubits is an ``int`` bitmask: bit q-1 set means qubit q is in
+  the set, so bit i names axes ``(i, n+i)`` of the tensor view. Cuts,
+  ``partial_trace`` and ``partial_transpose`` share one check of such a
+  mask: an integer naming a nonempty proper subset of the register.
 * Matrices are plain ``numpy`` complex128 arrays; state vectors are 1-D
   arrays of length ``2**n``.
 
@@ -24,13 +28,13 @@ its Hermiticity defect is exactly that of the matrix it came from.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     CapacityError,
     InvalidPartitionError,
+    InvalidSizeError,
     NormalizationError,
     SymmetryViolationError,
 )
@@ -50,55 +54,33 @@ def _as_complex(a) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class QubitSubset:
-    """A subset of the qubits of an ``n_qubits`` register.
-
-    ``members`` holds 1-based qubit indices.
-    """
-
-    n_qubits: int
-    members: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        try:
-            object.__setattr__(self, "n_qubits", operator.index(self.n_qubits))
-        except TypeError as exc:
-            raise InvalidPartitionError(
-                f"n_qubits must be an integer, got {self.n_qubits!r}"
-            ) from exc
-        if self.n_qubits < 1:
-            raise InvalidPartitionError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        try:
-            members = frozenset(operator.index(q) for q in self.members)
-        except TypeError as exc:
-            raise InvalidPartitionError(
-                f"qubit indices must be integers, got {sorted(self.members, key=repr)}"
-            ) from exc
-        object.__setattr__(self, "members", members)
-        bad = [q for q in self.members if not 1 <= q <= self.n_qubits]
-        if bad:
-            raise InvalidPartitionError(
-                f"qubit indices {sorted(bad)} outside 1..{self.n_qubits}"
-            )
-
-    def complement(self) -> "QubitSubset":
-        rest = frozenset(range(1, self.n_qubits + 1)) - self.members
-        return QubitSubset(self.n_qubits, rest)
-
-    def __len__(self) -> int:
-        return len(self.members)
+def _check_qubit_mask(n_qubits: int, mask: int) -> tuple[int, int]:
+    """Validate a set of the qubits of an ``n_qubits`` register, given as its
+    bitmask (bit q-1 set means qubit q is in the set): both integers, the set
+    nonempty and proper. Returns ``(n_qubits, mask)`` as ints and raises
+    InvalidPartitionError otherwise."""
+    try:
+        n, mask = operator.index(n_qubits), operator.index(mask)
+        proper = 0 < mask < 2**n - 1
+    except TypeError:
+        proper = False
+    if not proper:
+        raise InvalidPartitionError(
+            f"qubit mask {mask!r} is not a nonempty proper subset of {n_qubits!r} qubits"
+        )
+    return n, mask
 
 
 class DensityMatrix:
     """A validated n-qubit density matrix.
 
     The public constructor is the only place the invariants are checked:
-    finite entries, shape, capacity, Hermiticity within ``HERMITICITY_TOL``
-    and unit trace. ``to_density``, which checks its ket first, and
-    ``apply_dephasing``, which keeps the diagonal bit for bit and scales each
-    (r, c)/(c, r) pair by conjugate factors of modulus <= 1, keep the
-    invariants of validated input and skip the re-check via ``_unchecked``.
+    an integer qubit count from 1 to the capacity, then finite entries,
+    shape, Hermiticity within ``HERMITICITY_TOL`` and unit trace.
+    ``to_density``, which checks its ket first, and ``apply_dephasing``,
+    which keeps the diagonal bit for bit and scales each (r, c)/(c, r) pair
+    by conjugate factors of modulus <= 1, keep the invariants of validated
+    input and skip the re-check via ``_unchecked``.
     A partial trace sums entries and a collision multiplies matrices, so
     their results are checked again.
 
@@ -110,15 +92,21 @@ class DensityMatrix:
     __slots__ = ("n_qubits", "mat")
 
     def __init__(self, n_qubits: int, mat):
+        try:
+            n_qubits = operator.index(n_qubits)
+        except TypeError as exc:
+            raise InvalidSizeError(f"n_qubits must be an integer, got {n_qubits!r}") from exc
+        if n_qubits < 1:
+            raise InvalidSizeError(f"a density matrix needs at least 1 qubit, got {n_qubits}")
+        if n_qubits > MAX_QUBITS:
+            raise CapacityError(
+                f"{n_qubits} qubits exceeds the dense capacity of {MAX_QUBITS}"
+            )
         mat = _as_complex(mat)
         dim = 2**n_qubits
         if mat.shape != (dim, dim):
             raise ValueError(
                 f"expected a {dim}x{dim} matrix for {n_qubits} qubits, got {mat.shape}"
-            )
-        if n_qubits > MAX_QUBITS:
-            raise CapacityError(
-                f"{n_qubits} qubits exceeds the dense capacity of {MAX_QUBITS}"
             )
         require_hermitian(mat)
         tr = mat.trace()
@@ -184,58 +172,47 @@ def _qubit_view(a: np.ndarray, n_qubits: int) -> tuple[np.ndarray, dict[int, tup
     return a.reshape((2,) * (a.ndim * n)), axes
 
 
-def partial_trace(rho: DensityMatrix, traced: QubitSubset) -> DensityMatrix:
-    """Trace out the qubits in ``traced``, keeping the rest in original order.
+def partial_trace(rho: DensityMatrix, traced: int) -> DensityMatrix:
+    """Trace out the qubits of the mask ``traced`` (bit q-1 set means qubit
+    q), keeping the rest in original order.
 
-    Contracts the row/column axis pair of each traced qubit on the tensor
-    view in a single einsum.
+    Ties the column axis n+i of each set bit i to its row axis i on the
+    tensor view, in a single einsum.
     """
-    n = rho.n_qubits
-    if traced.n_qubits != n:
-        raise InvalidPartitionError(
-            f"subset is over {traced.n_qubits} qubits, state has {n}"
-        )
-    if not traced.members or len(traced.members) == n:
-        raise InvalidPartitionError("traced set must be a nonempty proper subset")
-
-    tensor, axes = _qubit_view(rho.mat, n)
+    n, traced = _check_qubit_mask(rho.n_qubits, traced)
+    tensor, _ = _qubit_view(rho.mat, n)
     # Tying a qubit's column subscript to its row subscript sums over that
     # qubit's diagonal.
     subscripts = list(range(2 * n))
-    for q in traced.members:
-        row, col = axes[q]
-        subscripts[col] = row
-    kept = [axes[q] for q in range(1, n + 1) if q not in traced.members]
-    out_subscripts = [row for row, _ in kept] + [col for _, col in kept]
-    reduced = np.einsum(tensor, subscripts, out_subscripts)
+    kept = []
+    for i in range(n):
+        if traced >> i & 1:
+            subscripts[n + i] = i
+        else:
+            kept.append(i)
+    reduced = np.einsum(tensor, subscripts, kept + [n + i for i in kept])
 
     m = len(kept)
     return DensityMatrix(m, reduced.reshape(2**m, 2**m))
 
 
-def partial_transpose(rho: DensityMatrix, transposed: QubitSubset) -> np.ndarray:
-    """Transpose only the indices of the given qubits.
+def partial_transpose(rho: DensityMatrix, transposed: int) -> np.ndarray:
+    """Transpose only the indices of the qubits of the mask ``transposed``
+    (bit q-1 set means qubit q).
 
-    Swaps the row and column axes of each transposed qubit on the tensor
+    Swaps the row axis i and column axis n+i of each set bit i on the tensor
     view, so entry ``(r, c)`` of the result is taken from ``(r', c')`` where
     the bits of ``r`` and ``c`` on the transposed qubits are swapped. The
     result is a new array, never a view of ``rho``. The output stays
     Hermitian but is generally not positive — its negative eigenvalues are
     the entanglement witnesses everything downstream consumes.
     """
-    n = rho.n_qubits
-    if transposed.n_qubits != n:
-        raise InvalidPartitionError(
-            f"subset is over {transposed.n_qubits} qubits, state has {n}"
-        )
-    if not transposed.members or len(transposed.members) == n:
-        raise InvalidPartitionError("transposed set must be a nonempty proper subset")
-
-    tensor, axes = _qubit_view(rho.mat, n)
+    n, transposed = _check_qubit_mask(rho.n_qubits, transposed)
+    tensor, _ = _qubit_view(rho.mat, n)
     order = list(range(2 * n))
-    for q in transposed.members:
-        row, col = axes[q]
-        order[row], order[col] = col, row
+    for i in range(n):
+        if transposed >> i & 1:
+            order[i], order[n + i] = n + i, i
     return tensor.transpose(order).reshape(rho.dim, rho.dim)
 
 

@@ -7,9 +7,10 @@ computes the exact PT spectrum (the oracle), evaluates the closed-form
 predictions available for the GHZ, W, and short linear-cluster families, and
 locates critical dephasing strengths by bisection.
 
-A cut is its canonical bitmask (``BipartiteCut``), which enumeration, CSV
-rows and the structured spectra read; member sets are built only for the
-dense partial transpose and the closed forms.
+A cut is its canonical bitmask (``BipartiteCut``), the qubit-set
+convention of ``linalg``: enumeration, CSV rows, the structured spectra and
+the dense partial transpose all read the mask, and the W closed form reads
+the sides' qubits off it.
 
 The oracle has two paths, chosen by what it is given. A ``DensityMatrix``
 gets its partial transpose eigensolved only on the indices whose row or
@@ -52,7 +53,7 @@ import numpy as np
 
 from .channel import AggregateDephasing
 from .errors import BracketError, FormulaUnavailableError, InvalidPartitionError, InvalidSizeError
-from .linalg import DensityMatrix, QubitSubset, partial_transpose
+from .linalg import DensityMatrix, _check_qubit_mask, partial_transpose
 from .states import Family, StateFamily
 from .tolerances import BISECTION_WIDTH, PSD_FLOOR
 
@@ -64,46 +65,35 @@ class BipartiteCut:
 
     Canonical form: P1 is the side containing qubit 1, so the mask is odd
     and a cut and its complement are one object: ``BipartiteCut(3, 0b110)``
-    is ``1|2,3``, mask 1. ``p1`` and ``p2`` are built when read.
+    is ``1|2,3``, mask 1.
     """
 
     n_qubits: int
     cli_bitmask: int
 
     def __post_init__(self):
-        n, mask = self.n_qubits, self.cli_bitmask
-        try:
-            n, mask = operator.index(n), operator.index(mask)
-            proper = 0 < mask < (full := 2**n - 1)
-        except TypeError:
-            proper = False
-        if not proper:
-            raise InvalidPartitionError(
-                f"cut bitmask {mask!r} does not describe a proper bipartition of {n!r} qubits"
-            )
+        n, mask = _check_qubit_mask(self.n_qubits, self.cli_bitmask)
         object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "cli_bitmask", mask if mask & 1 else full ^ mask)
+        object.__setattr__(self, "cli_bitmask", mask if mask & 1 else (2**n - 1) ^ mask)
 
     @classmethod
     def from_members(cls, n_qubits: int, members) -> "BipartiteCut":
-        p1 = QubitSubset(n_qubits, frozenset(members))
-        return cls(n_qubits, sum(1 << (q - 1) for q in p1.members))
-
-    @classmethod
-    def from_cli_bitmask(cls, n_qubits: int, bitmask: int) -> "BipartiteCut":
-        return cls(n_qubits, bitmask)
+        """The cut with the 1-based qubits ``members`` on one side; a
+        repeated member counts once."""
+        mask = 0
+        for q in members:
+            try:
+                inside = 1 <= (q := operator.index(q)) <= operator.index(n_qubits)
+            except TypeError:
+                inside = False
+            if not inside:
+                raise InvalidPartitionError(f"qubit {q!r} is not one of 1..{n_qubits!r}")
+            mask |= 1 << (q - 1)
+        return cls(n_qubits, mask)
 
     def _side(self, bit: int) -> list[int]:
         """The qubits of P1 (``bit`` 1) or P2 (``bit`` 0), ascending."""
         return [q for q in range(1, self.n_qubits + 1) if self.cli_bitmask >> (q - 1) & 1 == bit]
-
-    @property
-    def p1(self) -> QubitSubset:
-        return QubitSubset(self.n_qubits, frozenset(self._side(1)))
-
-    @property
-    def p2(self) -> QubitSubset:
-        return self.p1.complement()
 
     def human(self) -> str:
         """Render as e.g. ``1,3|2``."""
@@ -312,7 +302,7 @@ def _dense_spectra(rho: DensityMatrix, cuts):
             yield from _solve_stacked(held, dim)
             held, entries = [], 0
         if live.size == dim:
-            block = partial_transpose(rho, cut.p1)
+            block = partial_transpose(rho, cut.cli_bitmask)
         else:
             swap = (live[:, None] ^ live) & m
             block = mat[live[:, None] ^ swap, live ^ swap]
@@ -383,8 +373,8 @@ def w_negativity_formula(agg: AggregateDephasing, cut: BipartiteCut) -> float:
             f"aggregate covers {agg.n_qubits} qubits, cut is over {cut.n_qubits}"
         )
     g2 = agg.gamma**2
-    left = sum(g2[q - 1] for q in cut.p1.members)
-    right = sum(g2[q - 1] for q in cut.p2.members)
+    left = sum(g2[q - 1] for q in cut._side(1))
+    right = sum(g2[q - 1] for q in cut._side(0))
     return -float(np.sqrt(left * right)) / cut.n_qubits
 
 

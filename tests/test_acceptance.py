@@ -21,7 +21,6 @@ from decohere import (
     DensityMatrix,
     Family,
     MicroCollisionSpec,
-    QubitSubset,
     StateFamily,
     apply_dephasing,
     apply_microscopic_collision,
@@ -170,7 +169,7 @@ def test_criterion_5_w_residual_entanglement_survives_dead_qubit():
         full = distillability_check(rho)
         assert not full.all_cuts_npt
         assert len(full.ppt_cuts) >= 1
-        reduced = partial_trace(rho, QubitSubset(n, frozenset({1})))
+        reduced = partial_trace(rho, 0b1)
         inner = distillability_check(reduced)
         assert inner.all_cuts_npt
     print(

@@ -69,7 +69,7 @@ def dense_rows(config):
         family = StateFamily(config.family, agg.n_qubits)
         rho = apply_dephasing(to_density(make_state(family)), agg)
         for cut in cuts:
-            eigs = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+            eigs = np.linalg.eigvalsh(partial_transpose(rho, cut.cli_bitmask))
             negatives = eigs[eigs < PSD_FLOOR]
             quantities = {
                 "min_eigenvalue": float(eigs[0]),

@@ -8,8 +8,8 @@ from decohere import (
     CapacityError,
     DensityMatrix,
     InvalidPartitionError,
+    InvalidSizeError,
     NormalizationError,
-    QubitSubset,
     SymmetryViolationError,
     apply_dephasing,
     enumerate_cuts,
@@ -79,6 +79,14 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(2, np.eye(2) / 2)
 
+    def test_rejects_non_integer_qubit_count(self):
+        with pytest.raises(InvalidSizeError):
+            DensityMatrix(2.0, np.eye(4) / 4)
+
+    def test_rejects_zero_qubits(self):
+        with pytest.raises(InvalidSizeError):
+            DensityMatrix(0, np.array([[1.0]]))
+
     def test_rejects_nan(self):
         mat = np.eye(2, dtype=complex) / 2
         mat[1, 1] = np.nan
@@ -92,30 +100,87 @@ class TestDensityMatrix:
             rho.assert_psd()
 
 
-class TestQubitSubset:
-    def test_complement(self):
-        sub = QubitSubset(4, frozenset({2, 4}))
-        assert sub.complement().members == frozenset({1, 3})
+def members(n, mask):
+    """The 1-based qubits of a mask: bit q-1 set means qubit q."""
+    return {q for q in range(1, n + 1) if mask >> (q - 1) & 1}
 
-    def test_rejects_out_of_range(self):
+
+def trace_reference(mat, n, traced):
+    """Partial trace by summing the entries whose flat indices agree on the
+    traced qubits' bits (qubit 1 the most significant bit), each added at
+    the index that the kept qubits' bits form. The tensor-view kernel must
+    reproduce it."""
+    kept = [q for q in range(1, n + 1) if q not in traced]
+    idx = np.arange(2**n)
+    bits = {q: idx >> (n - q) & 1 for q in range(1, n + 1)}
+    reduced = sum(bits[q] << (len(kept) - 1 - k) for k, q in enumerate(kept))
+    label = sum(bits[q] << k for k, q in enumerate(sorted(traced)))
+    out = np.zeros((2 ** len(kept),) * 2, dtype=complex)
+    rows, cols = np.broadcast_arrays(reduced[:, None], reduced[None, :])
+    np.add.at(out, (rows, cols), np.where(label[:, None] == label[None, :], mat, 0.0))
+    return out
+
+
+class TestQubitMask:
+    """Cuts, partial trace and partial transpose take a qubit set as its
+    bitmask and share one check of it."""
+
+    RHO = random_density(np.random.default_rng(1), 3)
+    TAKES_MASK = {
+        "cut": lambda mask: BipartiteCut(3, mask).cli_bitmask,
+        "trace": lambda mask: partial_trace(TestQubitMask.RHO, mask).mat,
+        "transpose": lambda mask: partial_transpose(TestQubitMask.RHO, mask),
+    }
+
+    @pytest.mark.parametrize("op", list(TAKES_MASK))
+    @pytest.mark.parametrize(
+        "mask",
+        [0, 0b111, 0b1000, -1, 1.0, None],
+        ids=["empty", "full", "wide", "negative", "float", "none"],
+    )
+    def test_rejects(self, op, mask):
         with pytest.raises(InvalidPartitionError):
-            QubitSubset(2, frozenset({3}))
-        # Non-integer members are rejected, not truncated to a valid qubit.
-        for bad in (1.5, 2.9, "2"):
-            with pytest.raises(InvalidPartitionError):
-                QubitSubset(3, frozenset({bad}))
-            with pytest.raises(InvalidPartitionError):
-                BipartiteCut.from_members(3, {bad})
+            self.TAKES_MASK[op](mask)
 
-    def test_rejects_non_integer_register_size(self):
+    @pytest.mark.parametrize("op", list(TAKES_MASK))
+    def test_accepts_numpy_integers(self, op):
+        takes_mask = self.TAKES_MASK[op]
+        assert np.array_equal(takes_mask(np.int64(0b110)), takes_mask(0b110))
+        cut = BipartiteCut(np.int64(3), np.int64(0b110))
+        assert type(cut.n_qubits) is int and type(cut.cli_bitmask) is int
+
+    @pytest.mark.parametrize("bad", [0, 4, 10**18, 1.5, 2.0, "2", None])
+    def test_from_members_rejects(self, bad):
         with pytest.raises(InvalidPartitionError):
-            QubitSubset(2.5, frozenset({1}))
+            BipartiteCut.from_members(3, {bad})
 
-    def test_accepts_numpy_integers(self):
-        assert type(QubitSubset(np.int64(3), frozenset({1})).n_qubits) is int
-        sub = QubitSubset(3, frozenset({np.int64(2)}))
-        assert sub.members == frozenset({2})
-        assert all(type(q) is int for q in sub.members)
+    def test_from_members_counts_a_repeat_once(self):
+        assert BipartiteCut.from_members(3, [1, 3, 3, np.int64(1)]) == BipartiteCut(3, 0b101)
+        assert BipartiteCut.from_members(3, [2, 2]) == BipartiteCut(3, 0b010)
+
+
+class TestEveryMask:
+    """Every nonempty proper mask, not only the canonical cuts (which all
+    hold qubit 1), against the index-level references."""
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_partial_transpose(self, n):
+        rho = dephased_random_density([n, 3], n)
+        full = 2**n - 1
+        for mask in range(1, full):
+            once = partial_transpose(rho, mask)
+            assert np.array_equal(once, pt_reference(rho.mat, n, members(n, mask))), mask
+            # transposing the other side too transposes the whole matrix
+            assert np.array_equal(partial_transpose(rho, full ^ mask), once.T), mask
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_partial_trace(self, n):
+        rho = random_density(np.random.default_rng([n, 4]), n)
+        for mask in range(1, 2**n - 1):
+            reduced = partial_trace(rho, mask)
+            expected = trace_reference(rho.mat, n, members(n, mask))
+            assert reduced.n_qubits == n - len(members(n, mask))
+            assert np.abs(reduced.mat - expected).max() < 1e-15, mask
 
 
 class TestPartialTrace:
@@ -124,14 +189,14 @@ class TestPartialTrace:
         rho_a = random_density(rng, 1)
         rho_b = random_density(rng, 1)
         joint = density(kron(rho_a.mat, rho_b.mat))
-        reduced = partial_trace(joint, QubitSubset(2, frozenset({2})))
+        reduced = partial_trace(joint, 0b10)
         assert np.abs(reduced.mat - rho_a.mat).max() < 1e-14
 
     def test_ghz3_loses_coherence(self):
         from decohere import make_ghz, to_density
 
         rho = to_density(make_ghz(3))
-        reduced = partial_trace(rho, QubitSubset(3, frozenset({3})))
+        reduced = partial_trace(rho, 0b100)
         expected = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
         assert np.abs(reduced.mat - expected).max() < 1e-15
 
@@ -139,7 +204,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(11)
         parts = [random_density(rng, 1) for _ in range(3)]
         joint = density(kron(kron(parts[0].mat, parts[1].mat), parts[2].mat))
-        reduced = partial_trace(joint, QubitSubset(3, frozenset({2})))
+        reduced = partial_trace(joint, 0b010)
         expected = kron(parts[0].mat, parts[2].mat)
         assert np.abs(reduced.mat - expected).max() < 1e-14
 
@@ -149,15 +214,15 @@ class TestPartialTrace:
         rho = random_density(rng, n)
         size = int(rng.integers(1, n))
         members = frozenset(map(int, rng.choice(np.arange(1, n + 1), size, replace=False)))
-        reduced = partial_trace(rho, QubitSubset(n, members))
+        reduced = partial_trace(rho, sum(1 << (q - 1) for q in members))
         assert abs(reduced.mat.trace() - 1.0) < 1e-12
 
     def test_rejects_empty_and_full(self):
         rho = density(np.eye(4, dtype=complex) / 4)
         with pytest.raises(InvalidPartitionError):
-            partial_trace(rho, QubitSubset(2, frozenset()))
+            partial_trace(rho, 0)
         with pytest.raises(InvalidPartitionError):
-            partial_trace(rho, QubitSubset(2, frozenset({1, 2})))
+            partial_trace(rho, 0b11)
 
 
 class TestPartialTranspose:
@@ -165,10 +230,10 @@ class TestPartialTranspose:
     def test_involution(self, seed, n):
         rho = dephased_random_density(seed, n)
         for cut in enumerate_cuts(n):
-            once = partial_transpose(rho, cut.p1)
-            assert np.array_equal(once, pt_reference(rho.mat, n, cut.p1.members))
+            once = partial_transpose(rho, cut.cli_bitmask)
+            assert np.array_equal(once, pt_reference(rho.mat, n, cut._side(1)))
             # the same index swap again, by the reference
-            assert np.array_equal(pt_reference(once, n, cut.p1.members), rho.mat)
+            assert np.array_equal(pt_reference(once, n, cut._side(1)), rho.mat)
             assert np.abs(once - once.conj().T).max() < 1e-15
             # PT only moves entries: its Hermiticity defect is exactly rho's
             defect = np.abs(rho.mat - rho.mat.conj().T).max()
@@ -178,7 +243,7 @@ class TestPartialTranspose:
     @pytest.mark.parametrize("members", [{1}, {10}, {1, 2, 3, 4, 5}, {2, 4, 6, 8, 10}])
     def test_matches_reference_at_ten_qubits(self, members):
         rho = dephased_random_density(10, 10)
-        once = partial_transpose(rho, QubitSubset(10, frozenset(members)))
+        once = partial_transpose(rho, sum(1 << (q - 1) for q in members))
         assert np.array_equal(once, pt_reference(rho.mat, 10, members))
 
     def test_product_state_stays_psd(self):
@@ -186,14 +251,14 @@ class TestPartialTranspose:
         rho_a = random_density(rng, 1)
         rho_b = random_density(rng, 1)
         joint = density(kron(rho_a.mat, rho_b.mat))
-        pt = partial_transpose(joint, QubitSubset(2, frozenset({1})))
+        pt = partial_transpose(joint, 0b01)
         assert np.abs(pt - kron(rho_a.mat.T, rho_b.mat)).max() < 1e-15
         assert np.linalg.eigvalsh(pt)[0] > -1e-12
 
     def test_ghz2_spectrum(self):
         from decohere import make_ghz, to_density
 
-        pt = partial_transpose(to_density(make_ghz(2)), QubitSubset(2, frozenset({1})))
+        pt = partial_transpose(to_density(make_ghz(2)), 0b01)
         eigs = np.linalg.eigvalsh(pt)
         assert np.abs(eigs - np.array([-0.5, 0.5, 0.5, 0.5])).max() < 1e-12
 

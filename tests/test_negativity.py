@@ -16,7 +16,6 @@ from decohere import (
     FormulaUnavailableError,
     InvalidPartitionError,
     InvalidSizeError,
-    QubitSubset,
     StateFamily,
     apply_dephasing,
     cluster_negativity_formula,
@@ -66,7 +65,7 @@ def reference_pt_spectrum(rho, cut):
     """The dense spectrum by the route ``_dense_spectra`` replaced: the whole
     partial transpose, restricted to the indices whose row or column holds a
     nonzero, one ``eigvalsh`` call, padded with exact zeros and sorted."""
-    pt = partial_transpose(rho, cut.p1)
+    pt = partial_transpose(rho, cut.cli_bitmask)
     nonzero = pt != 0
     live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     eigs = np.linalg.eigvalsh(pt[np.ix_(live, live)])
@@ -85,32 +84,30 @@ def dense_spectra(rho, cuts):
 
 class TestBipartiteCut:
     def test_canonicalizes_to_qubit_one_side(self):
-        cut = BipartiteCut.from_cli_bitmask(3, 0b110)  # {2,3} given
-        assert cut.p1.members == frozenset({1})
+        cut = BipartiteCut(3, 0b110)  # {2,3} given
+        assert cut._side(1) == [1]
         assert cut.cli_bitmask == 0b001
 
     def test_human_format(self):
         cut = cut_of(3, {1, 3})
         assert cut.human() == "1,3|2"
-        assert cut.p2.members == frozenset({2})
+        assert cut._side(0) == [2]
 
     def test_cli_bitmask_convention(self):
         # bit (i-1) set means qubit i on side one
-        cut = BipartiteCut.from_cli_bitmask(4, 0b0101)  # qubits 1 and 3
-        assert cut.p1.members == frozenset({1, 3})
+        cut = BipartiteCut(4, 0b0101)  # qubits 1 and 3
+        assert cut._side(1) == [1, 3]
         assert cut.cli_bitmask == 0b0101
 
     @pytest.mark.parametrize("bad", [0, 0b111, -1, 0b1000])
     def test_rejects_degenerate_masks(self, bad):
         with pytest.raises(InvalidPartitionError):
-            BipartiteCut.from_cli_bitmask(3, bad)
+            BipartiteCut(3, bad)
 
     @pytest.mark.parametrize("n, mask", [(3, 1.5), (3, "1"), (-1, 1), (3.0, 1)])
     def test_rejects_non_integer_masks_and_bad_sizes(self, n, mask):
         with pytest.raises(InvalidPartitionError):
             BipartiteCut(n, mask)
-        with pytest.raises(InvalidPartitionError):
-            BipartiteCut.from_cli_bitmask(n, mask)
 
     def test_from_members_rejects_non_integer_register_size(self):
         with pytest.raises(InvalidPartitionError):
@@ -120,9 +117,9 @@ class TestBipartiteCut:
     def test_cut_and_complement_are_one_object(self, n):
         full = 2**n - 1
         for cut in enumerate_cuts(n):
-            twin = BipartiteCut.from_cli_bitmask(n, full ^ cut.cli_bitmask)
+            twin = BipartiteCut(n, full ^ cut.cli_bitmask)
             assert twin == cut and hash(twin) == hash(cut)
-            assert cut_of(n, cut.p2.members) == cut
+            assert cut_of(n, cut._side(0)) == cut
             assert BipartiteCut(n, np.int64(cut.cli_bitmask)) == cut
 
 
@@ -134,8 +131,8 @@ class TestEnumerateCuts:
         assert len(enumerate_cuts(10)) == 511
 
     def test_three_qubit_members(self):
-        members = [cut.p1.members for cut in enumerate_cuts(3)]
-        assert members == [frozenset({1}), frozenset({1, 2}), frozenset({1, 3})]
+        members = [cut._side(1) for cut in enumerate_cuts(3)]
+        assert members == [[1], [1, 2], [1, 3]]
 
     def test_masks_ascend_and_stay_odd(self):
         masks = [cut.cli_bitmask for cut in enumerate_cuts(4)]
@@ -154,17 +151,6 @@ class TestEnumerateCuts:
         with pytest.raises(InvalidSizeError):
             enumerate_cuts("3")
 
-    def test_builds_no_qubit_subsets(self, monkeypatch):
-        """A cut is its mask; members are built only when a side is read."""
-        built = []
-        post_init = QubitSubset.__post_init__
-        monkeypatch.setattr(
-            QubitSubset, "__post_init__", lambda self: (built.append(self), post_init(self))
-        )
-        cuts = enumerate_cuts(10)
-        assert len(cuts) == 511 and built == []
-        assert cuts[0].p1.members == {1} and len(built) == 1
-
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_crossing_edges_from_the_mask_match_members(n):
@@ -172,7 +158,7 @@ def test_crossing_edges_from_the_mask_match_members(n):
     sides, read here from the members rather than the mask."""
     cuts = enumerate_cuts(n)
     want = [
-        [(i in cut.p1.members) != (i + 1 in cut.p1.members) for i in range(1, n)]
+        [(i in cut._side(1)) != (i + 1 in cut._side(1)) for i in range(1, n)]
         for cut in cuts
     ]
     assert negativity._crossing_edges(cuts, n).tolist() == want
@@ -310,7 +296,7 @@ class TestWFormula:
             np.concatenate([[gamma], np.ones(n - 1)]), np.zeros(n)
         )
         for cut in enumerate_cuts(n):
-            n1 = len(cut.p1)
+            n1 = cut.cli_bitmask.bit_count()
             expected = -np.sqrt((n1 - 1 + gamma**2) * (n - n1)) / n
             assert abs(w_negativity_formula(agg, cut) - expected) < 1e-14
 
@@ -425,7 +411,7 @@ class TestDistillability:
         other = negativity_oracle(rho, cut_of(n, {1, 2}))
         assert abs(other.min_eigenvalue - (-SQRT2 / 4)) < 1e-12
         # dropping the dead qubit leaves a fully NPT three-qubit state
-        reduced = partial_trace(rho, QubitSubset(n, frozenset({1})))
+        reduced = partial_trace(rho, 0b1)
         inner = distillability_check(reduced)
         assert inner.all_cuts_npt
         for cut in enumerate_cuts(n - 1):
@@ -478,7 +464,7 @@ class TestDistillability:
         rho = apply_dephasing(to_density(make_cluster(3)), homog(3, 0.35))
         verdict = distillability_check(rho)
         assert not verdict.all_cuts_npt
-        assert verdict.worst_cut.p1.members != frozenset({1, 3})
+        assert verdict.worst_cut.cli_bitmask != 0b101
         assert cut_of(3, {1, 3}) not in verdict.ppt_cuts
 
 
@@ -491,7 +477,7 @@ class TestStructuredMatchesDense:
     def assert_agree(family, agg, cuts):
         rho = apply_dephasing(to_density(make_state(family)), agg)
         for cut, dense in zip(cuts, dense_spectra(rho, cuts)):
-            full = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+            full = np.linalg.eigvalsh(partial_transpose(rho, cut.cli_bitmask))
             structured = _SPECTRA[family.kind](agg.gamma[None, :], [cut])[0]
             report = negativity_oracle((family, agg), cut)
             assert_matches_full(structured, report, full, ("structured", cut.human()))
@@ -527,7 +513,7 @@ class TestStructuredMatchesDense:
         rng = np.random.default_rng([10, list(Family).index(kind)])
         agg = AggregateDephasing(rng.uniform(0, 1, 10), rng.uniform(0, 2 * np.pi, 10))
         # one qubit alone, the alternating cut and the half/half cut
-        cuts = [BipartiteCut.from_cli_bitmask(10, m) for m in (0b1, 0b0101010101, 0b11111)]
+        cuts = [BipartiteCut(10, m) for m in (0b1, 0b0101010101, 0b11111)]
         self.assert_agree(StateFamily(kind, 10), agg, cuts)
 
 
@@ -548,7 +534,7 @@ def _cluster_sign_on_kept_edges(gamma, cuts):
     for cut in cuts:
         side, members = True, {1}
         for i in range(1, gamma.shape[1]):
-            side ^= (i in cut.p1.members) == (i + 1 in cut.p1.members)
+            side ^= (i in cut._side(1)) == (i + 1 in cut._side(1))
             if side:
                 members.add(i + 1)
         flipped.append(SimpleNamespace(cli_bitmask=sum(1 << (q - 1) for q in members)))
@@ -580,7 +566,7 @@ def test_pt_spectrum_bounded_by_frobenius_norm(n):
         rho = random_density(rng, n)
         fro = np.linalg.norm(rho.mat)
         for cut in enumerate_cuts(n):
-            eigs = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+            eigs = np.linalg.eigvalsh(partial_transpose(rho, cut.cli_bitmask))
             assert np.abs(eigs).max() <= fro * (1.0 + 1e-12), cut.human()
 
 
@@ -626,7 +612,7 @@ class TestDenseSupport:
             rho = random_density(rng, n)
             cuts = enumerate_cuts(n)
             for cut, eigs in zip(cuts, dense_spectra(rho, cuts)):
-                full = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+                full = np.linalg.eigvalsh(partial_transpose(rho, cut.cli_bitmask))
                 assert_matches_full(eigs, negativity_oracle(rho, cut), full, cut.human())
 
     def test_one_sided_zero_pattern(self):
@@ -642,7 +628,7 @@ class TestDenseSupport:
         mat[127, 1:127] = eps
         rho = DensityMatrix(n, mat)
         cut = cut_of(n, {1})
-        full = np.linalg.eigvalsh(partial_transpose(rho, cut.p1))
+        full = np.linalg.eigvalsh(partial_transpose(rho, cut.cli_bitmask))
         assert full[0] < -10 * eps
         [eigs] = dense_spectra(rho, [cut])
         assert_matches_full(eigs, negativity_oracle(rho, cut), full, cut.human())
@@ -670,7 +656,7 @@ class TestDenseSupport:
         expected = [
             {
                 Family.GHZ: 4,
-                Family.W: 1 + n + len(cut.p1) * len(cut.p2),
+                Family.W: 1 + n + len(cut._side(1)) * len(cut._side(0)),
                 Family.CLUSTER: 2**n,
             }[kind]
             for cut in cuts
