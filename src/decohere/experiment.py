@@ -47,7 +47,7 @@ import yaml
 
 from .channel import TWO_PI, AggregateDephasing
 from .errors import ConfigError, DecohereError, FormulaUnavailableError
-from .negativity import BipartiteCut, _report, _structured_spectra, closed_form, enumerate_cuts
+from .negativity import BipartiteCut, _reports, _spectrum_blocks, closed_form, enumerate_cuts
 from .states import Family, StateFamily
 from .tolerances import MAX_QUBITS
 
@@ -321,10 +321,10 @@ def _point_rows(
     gammas = tuple(float(g) for g in agg.gamma)
 
     rows = []
-    for cut, spectrum in _structured_spectra(family, agg, cuts):
-        report = _report(cut, spectrum)
+    blocks = _spectrum_blocks(kind, np.repeat(agg.gamma[None, :], len(cuts), axis=0), cuts)
+    for report in (r for block, spectra in blocks for r in _reports(cuts[block], spectra)):
         try:
-            value, predicts = closed_form(family, agg, cut)
+            value, predicts = closed_form(family, agg, report.cut)
             oracle_side = getattr(report, predicts)
             formula_value: Union[float, None] = float(value)
             abs_error: Union[float, None] = abs(oracle_side - value)
@@ -335,7 +335,7 @@ def _point_rows(
             ResultRow(
                 family=kind.value,
                 n_qubits=agg.n_qubits,
-                cut=cut,
+                cut=report.cut,
                 gammas=gammas,
                 min_eigenvalue=report.min_eigenvalue,
                 negativity_sum=report.negativity_sum,

@@ -23,12 +23,13 @@ gathered from rho, and blocks of equal size are solved in one stacked
 spectrum written down from the family's structure, with no 2^n x 2^n matrix
 (Hein, Eisert, Briegel, PRA 69, 062311 (2004)): a dephased graph state stays
 diagonal in the graph-state basis and the PT only flips stabilizer signs, so
-the cluster spectrum is one Walsh-Hadamard transform; the W PT is block
-diagonal with exactly one negative eigenvalue; the GHZ spectrum is
-{1/2, 1/2, +-prod(gamma)/2} plus zeros. The structured path evaluates all
-the cuts of a point in blocked batched kernel calls, and the bisection
-steps all the cuts of a cluster chain in lockstep; GHZ and W have no
-transition to bisect, since they are NPT on every cut for every gamma > 0.
+the cluster spectrum is one Walsh-Hadamard transform, run in autosort order
+with the floats of an in-place butterfly; the W PT is block diagonal with
+exactly one negative eigenvalue; the GHZ spectrum is {1/2, 1/2,
++-prod(gamma)/2} plus zeros. The structured path evaluates all the cuts of
+a point in blocked batched kernel calls, each block summarized after one
+sort, and the bisection steps all the cuts of a cluster chain in lockstep;
+GHZ and W have no transition to bisect, being NPT on every cut for gamma > 0.
 
 Two scalar summaries of a PT spectrum are reported side by side:
 
@@ -144,17 +145,23 @@ def enumerate_cuts(n_qubits: int) -> list[BipartiteCut]:
     return [BipartiteCut(n_qubits, mask) for mask in range(1, 2**n_qubits - 1, 2)]
 
 
+def _reports(cuts, spectra: np.ndarray) -> list[NegativityReport]:
+    """Summarize a block of PT spectra, row r that of ``cuts[r]``. Values
+    below ``PSD_FLOOR`` count as negative, those in ``[PSD_FLOOR, 0]`` as
+    rounding noise. One sort serves the block; each row's negatives are the
+    prefix of its sorted row, summed as one slice (a one-row call's sum)."""
+    ordered = np.sort(spectra, axis=1)
+    counts = np.count_nonzero(ordered < PSD_FLOOR, axis=1).tolist()
+    return [
+        NegativityReport(cut, float(row[0]), float(-row[:c].sum()) if c else 0.0)
+        for cut, row, c in zip(cuts, ordered, counts)
+    ]
+
+
 def _report(cut: BipartiteCut, eigs: np.ndarray) -> NegativityReport:
-    """Summarize a PT spectrum. Eigenvalues below ``PSD_FLOOR`` count as
-    negative; anything in ``[PSD_FLOOR, 0]`` is rounding noise and treated
-    as zero."""
-    eigs = np.sort(eigs)
-    negatives = eigs[eigs < PSD_FLOOR]
-    return NegativityReport(
-        cut=cut,
-        min_eigenvalue=float(eigs[0]),
-        negativity_sum=float(-negatives.sum()) if negatives.size else 0.0,
-    )
+    """Summarize one PT spectrum: the one-row case of ``_reports``."""
+    [report] = _reports([cut], eigs[None])
+    return report
 
 
 def _ghz_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
@@ -189,9 +196,10 @@ def _w_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
 def _crossing_edges(cuts, n_qubits: int) -> np.ndarray:
     """Which chain edges cross each cut: entry [r, i-1] is True iff qubits i
     and i+1 lie on different sides of ``cuts[r]``. Bit i-1 of ``m ^ m >> 1``
-    compares bits i-1 and i of the mask m; the masks stay Python ints, so
-    any n works."""
-    flips = np.array([c.cli_bitmask ^ c.cli_bitmask >> 1 for c in cuts], dtype=object)
+    compares bits i-1 and i of the mask m. The masks are int64 while they
+    fit, below 2^63, and Python ints past that, so any n works."""
+    flips = [c.cli_bitmask ^ c.cli_bitmask >> 1 for c in cuts]
+    flips = np.array(flips, dtype=np.int64 if n_qubits < 64 else object)
     return (flips[:, None] >> np.arange(n_qubits - 1) & 1).astype(bool)
 
 
@@ -203,29 +211,35 @@ def _cluster_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
     per crossing edge (i, i+1) with s_i = s_{i+1} = 1, and the K^s stay
     commuting, so the eigenvalue on the graph-basis ket |t> is
     2^-n sum_s f(s) (-1)^(s.t). Qubit 1 is the most significant bit of s.
+
+    f is built, then transformed, in two buffers of k 2^n values used in
+    turn. Each transform pass (autosort, or Stockham, order) writes a + b
+    and a - b of the halves a, b on the leading bit, interleaved as the
+    trailing bit, so every pass runs on long loops. Pass q leads with qubit
+    q, the order of an in-place butterfly: the same additions in the same
+    order give the same floats, and after n passes each index is back.
     """
     k, n = gamma.shape
-    # signed[r, i] is gamma_{i+1}, negated if edge (i, i+1) crosses cuts[r]
-    signed = gamma.copy()
-    signed[:, 1:][_crossing_edges(cuts, n)] *= -1.0
+    # signed[r, i-1] is gamma_{i+1}, negated if edge (i, i+1) crosses cuts[r]
+    signed = np.where(_crossing_edges(cuts, n), -gamma[:, 1:], gamma[:, 1:])
     # Append s_{i+1} as the lowest bit: f(.., s_i, 1) is f(.., s_i) times
-    # gamma_{i+1}, or times signed[i] when s_i = 1. Negating a factor is
+    # gamma_{i+1}, or times signed[i-1] when s_i = 1. Negating a factor is
     # exact, so each value is the plain product with its crossing signs.
-    f = np.stack([np.ones(k), gamma[:, 0]], axis=1)
+    f, spare = np.empty(k << n), np.empty(k << n)
+    f[: 2 * k].reshape(k, 2)[:] = np.stack([np.ones(k), gamma[:, 0]], axis=1)
     for i in range(1, n):
-        pairs = f.reshape(k, -1, 2)
-        grown = np.empty((k, pairs.shape[1], 2, 2))
+        pairs, grown = f[: k << i].reshape(k, -1, 2), spare[: k << (i + 1)].reshape(k, -1, 2, 2)
         grown[..., 0] = pairs
         np.multiply(pairs[:, :, 0], gamma[:, i, None], out=grown[:, :, 0, 1])
-        np.multiply(pairs[:, :, 1], signed[:, i, None], out=grown[:, :, 1, 1])
-        f = grown.reshape(k, -1)
-    out = np.empty_like(f)
-    for q in range(n):
-        pairs, halves = f.reshape(k, 2**q, 2, -1), out.reshape(k, 2**q, 2, -1)
-        np.add(pairs[:, :, 0], pairs[:, :, 1], out=halves[:, :, 0])
-        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=halves[:, :, 1])
-        f, out = out, f
-    return f * 2.0**-n
+        np.multiply(pairs[:, :, 1], signed[:, i - 1, None], out=grown[:, :, 1, 1])
+        f, spare = spare, f
+    for _ in range(n):
+        halves, pairs = f.reshape(k, 2, -1), spare.reshape(k, -1, 2)
+        np.add(halves[:, 0], halves[:, 1], out=pairs[..., 0])
+        np.subtract(halves[:, 0], halves[:, 1], out=pairs[..., 1])
+        f, spare = spare, f
+    f *= 2.0**-n
+    return f.reshape(k, -1)
 
 
 # The structured PT spectra, by family: gamma of shape (k, n) and k cuts give

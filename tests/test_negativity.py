@@ -72,6 +72,39 @@ def reference_pt_spectrum(rho, cut):
     return np.sort(np.concatenate([eigs, np.zeros(rho.dim - live.size)]))
 
 
+def reference_cluster_spectrum(gamma, cuts):
+    """The cluster spectra by the route the autosort kernel replaced: crossing
+    edges from Python-int masks, f grown one qubit at a time into new arrays,
+    an in-place butterfly pass per qubit (qubit 1 first), then the 2^-n scale."""
+    k, n = gamma.shape
+    flips = np.array([c.cli_bitmask ^ c.cli_bitmask >> 1 for c in cuts], dtype=object)
+    signed = gamma.copy()
+    signed[:, 1:][(flips[:, None] >> np.arange(n - 1) & 1).astype(bool)] *= -1.0
+    f = np.stack([np.ones(k), gamma[:, 0]], axis=1)
+    for i in range(1, n):
+        pairs = f.reshape(k, -1, 2)
+        grown = np.empty((k, pairs.shape[1], 2, 2))
+        grown[..., 0] = pairs
+        np.multiply(pairs[:, :, 0], gamma[:, i, None], out=grown[:, :, 0, 1])
+        np.multiply(pairs[:, :, 1], signed[:, i, None], out=grown[:, :, 1, 1])
+        f = grown.reshape(k, -1)
+    out = np.empty_like(f)
+    for q in range(n):
+        pairs, halves = f.reshape(k, 2**q, 2, -1), out.reshape(k, 2**q, 2, -1)
+        np.add(pairs[:, :, 0], pairs[:, :, 1], out=halves[:, :, 0])
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=halves[:, :, 1])
+        f, out = out, f
+    return f * 2.0**-n
+
+
+def reference_report(eigs):
+    """``(min_eigenvalue, negativity_sum)`` of one spectrum by the per-row
+    route ``_reports`` replaced: sort, mask below ``PSD_FLOOR``, sum the mask."""
+    eigs = np.sort(eigs)
+    negatives = eigs[eigs < PSD_FLOOR]
+    return float(eigs[0]), float(-negatives.sum()) if negatives.size else 0.0
+
+
 def dense_spectra(rho, cuts):
     """``_dense_spectra`` of every cut, in order, each spectrum bit for bit
     the reference route's."""
@@ -152,11 +185,22 @@ class TestEnumerateCuts:
             enumerate_cuts("3")
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+def sampled_cuts(n):
+    """Cuts of an n-qubit register too large to enumerate: the extreme
+    canonical masks, the alternating one, masks with the top bit set or
+    clear, and seeded random odd masks."""
+    rng = np.random.default_rng(n)
+    masks = [1, 2**n - 3, 2 ** (n - 1) + 1, 2 ** (n - 1) - 1, (4**n - 1) // 3 & (2**n - 3)]
+    masks += [int.from_bytes(rng.bytes(n // 8 + 1), "little") % 2**n | 1 for _ in range(40)]
+    return [BipartiteCut(n, m) for m in masks if m != 2**n - 1]
+
+
+@pytest.mark.parametrize("n", [*range(2, 11), 63, 64, 65, 70])
 def test_crossing_edges_from_the_mask_match_members(n):
     """Edge (i, i+1) crosses a cut iff qubits i and i+1 lie on different
-    sides, read here from the members rather than the mask."""
-    cuts = enumerate_cuts(n)
+    sides, read here from the members rather than the mask. Masks of up
+    to 63 qubits fit int64; from 64 on they reach 2^63 and stay Python ints."""
+    cuts = enumerate_cuts(n) if n <= 10 else sampled_cuts(n)
     want = [
         [(i in cut._side(1)) != (i + 1 in cut._side(1)) for i in range(1, n)]
         for cut in cuts
@@ -719,6 +763,89 @@ class TestStructuredKernels:
             for cut, spectrum in negativity._structured_spectra(family, agg, cuts)
         ]
         assert got == [negativity_oracle((family, agg), cut) for cut in cuts]
+
+
+class TestClusterKernel:
+    """``_cluster_spectrum`` runs its transform in autosort order and builds f
+    in two reused buffers; every value is the reference kernel's, bit for bit."""
+
+    @staticmethod
+    def assert_reference(gamma, cuts):
+        got = negativity._cluster_spectrum(gamma, cuts)
+        assert got.shape == (len(cuts), 2 ** gamma.shape[1])
+        assert got.tobytes() == reference_cluster_spectrum(gamma, cuts).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_heterogeneous_rows(self, n):
+        cuts = enumerate_cuts(n)
+        self.assert_reference(np.random.default_rng([n, 4]).uniform(0, 1, (len(cuts), n)), cuts)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_homogeneous_rows(self, n):
+        # the shape critical_gamma passes: one gamma per row, on every qubit
+        cuts = enumerate_cuts(n)
+        gamma = np.random.default_rng([n, 5]).uniform(0, 1, len(cuts))
+        self.assert_reference(np.repeat(gamma[:, None], n, axis=1), cuts)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_rows_at_the_ends(self, n, value):
+        cuts = enumerate_cuts(n)
+        self.assert_reference(np.full((len(cuts), n), value), cuts)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_a_call_spanning_two_blocks(self, n):
+        # one row more than a block holds, cuts repeated: the blocks of
+        # _spectrum_blocks and one reference call over all rows agree
+        rows = negativity._BLOCK_VALUES >> n
+        cuts = (enumerate_cuts(n) * (rows + 1))[: rows + 1]
+        gamma = np.random.default_rng([n, 6]).uniform(0, 1, (len(cuts), n))
+        blocks = list(negativity._spectrum_blocks(Family.CLUSTER, gamma, cuts))
+        assert [len(spectra) for _, spectra in blocks] == [rows, 1]
+        got = np.concatenate([spectra for _, spectra in blocks])
+        assert got.tobytes() == reference_cluster_spectrum(gamma, cuts).tobytes()
+
+
+class TestBlockReports:
+    """``_reports`` summarizes a block with one sort; each row's report is
+    ``_report`` of that row and the per-row reference, bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(spectra):
+        cuts = [BipartiteCut(3, 1)] * len(spectra)
+        got = negativity._reports(cuts, spectra)
+        assert [r.cut for r in got] == cuts
+        for report, row in zip(got, spectra):
+            single = negativity._report(cuts[0], row)
+            fields = [report.min_eigenvalue, report.negativity_sum]
+            assert list(map(repr, fields)) == list(map(repr, reference_report(row)))
+            assert list(map(repr, fields)) == [
+                repr(single.min_eigenvalue), repr(single.negativity_sum)
+            ]
+
+    def test_edge_values(self):
+        below, noise = 2 * PSD_FLOOR, 0.5 * PSD_FLOOR
+        spectra = np.array(
+            [
+                [0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0],  # nothing negative
+                [0.5, noise, -0.0, 0.0, 0.5, noise, -0.0, 0.0],  # noise only
+                [-0.0, 0.0, -0.0, 0.0, 0.5, 0.5, 0.0, -0.0],  # signed zeros
+                [0.0, -0.0, 0.0, -0.0, 0.5, 0.5, -0.0, 0.0],
+                [PSD_FLOOR, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0],  # at the floor
+                [below, 0.6, noise, -0.0, 0.4, 0.0, -below, 0.0],
+                [-0.125, -0.0625, -0.03, noise, below, 0.6, 0.4, 0.2675],
+            ]
+        )
+        self.assert_rows_match(spectra)
+
+    @pytest.mark.parametrize("negatives", [1, 2, 7, 8, 9, 31, 200, 1000])
+    def test_rows_with_many_negatives(self, negatives):
+        # past 8 values the pairwise sum unrolls, past 128 it splits
+        rng = np.random.default_rng(negatives)
+        spectra = rng.uniform(0, 1, (5, 1024))
+        for row, scale in zip(spectra, [1e-3, 1e-9, 1e-11, 1.0, 0.5]):
+            row[rng.choice(1024, negatives, replace=False)] *= -scale
+        self.assert_rows_match(spectra)
 
 
 class TestCriticalGamma:
