@@ -7,8 +7,11 @@ every cut of chains up to --max-n and prints the thresholds; for the 2- and
 the root of g^3 + g^2 + 3g - 1 for the middle-qubit cut). Each bisection
 step reads the structured partial-transpose spectra of the chain: one
 batched transform per step for all cuts of the chain, a Walsh-Hadamard
-transform of 2^n numbers per cut, and no matrix (see
-decohere.negativity.critical_gamma).
+transform of 2^n numbers per cut, and no matrix. The signs of those
+numbers depend only on the cut, so they are built once per chain, as an
+int8 table, and each step scales them by powers of its gamma (see
+decohere.negativity.critical_gamma). Each cut is rendered once, for the
+printed line, the CSV row and the middle-cut check.
 
 Usage:
     python3 scripts/cluster_thresholds.py [--max-n 5] [--out thresholds.csv]
@@ -33,6 +36,7 @@ PAIR_THRESHOLD = np.sqrt(2.0) - 1.0
 
 
 def chain_thresholds(n):
+    """(bitmask, rendered cut, critical gamma) for every cut of the n-chain."""
     cuts = enumerate_cuts(n)
     try:
         gammas = critical_gamma(StateFamily(Family.CLUSTER, n), cuts, 0.05, 0.999)
@@ -40,7 +44,7 @@ def chain_thresholds(n):
         # some cut has no transition inside the bracket; report and move on
         print(f"  n={n}: {exc}", file=sys.stderr)
         return []
-    return list(zip(cuts, gammas))
+    return [(cut.cli_bitmask, cut.human(), gamma) for cut, gamma in zip(cuts, gammas)]
 
 
 def main(argv=None):
@@ -61,18 +65,18 @@ def main(argv=None):
         thresholds = chain_thresholds(n)
         if not thresholds:
             continue
-        for cut, gamma in thresholds:
-            print(f"  cut {cut.human():>12}  critical gamma = {gamma:.9f}")
-            rows.append((n, cut.cli_bitmask, cut.human(), gamma))
-        last = max(gamma for _, gamma in thresholds)
-        print(f"  all cuts PPT below gamma = {min(g for _, g in thresholds):.9f}, "
+        for mask, human, gamma in thresholds:
+            print(f"  cut {human:>12}  critical gamma = {gamma:.9f}")
+            rows.append((n, mask, human, gamma))
+        last = max(gamma for *_, gamma in thresholds)
+        print(f"  all cuts PPT below gamma = {min(g for *_, g in thresholds):.9f}, "
               f"all NPT above {last:.9f}")
 
         if n == 2:
-            gap = abs(thresholds[0][1] - PAIR_THRESHOLD)
+            gap = abs(thresholds[0][2] - PAIR_THRESHOLD)
             print(f"  closed form sqrt(2)-1: off by {gap:.2e}")
         if n == 3:
-            middle = next(g for c, g in thresholds if c.human() == "1,3|2")
+            middle = next(g for _, h, g in thresholds if h == "1,3|2")
             residual = middle**3 + middle**2 + 3 * middle - 1.0
             print(f"  middle-qubit cut cubic residual: {residual:.2e}")
 

@@ -46,8 +46,15 @@ import numpy as np
 import yaml
 
 from .channel import TWO_PI, AggregateDephasing
-from .errors import ConfigError, DecohereError, FormulaUnavailableError
-from .negativity import BipartiteCut, _reports, _spectrum_blocks, closed_form, enumerate_cuts
+from .errors import ConfigError, DecohereError
+from .negativity import (
+    BipartiteCut,
+    _has_closed_form,
+    _reports,
+    _spectrum_blocks,
+    closed_form,
+    enumerate_cuts,
+)
 from .states import Family, StateFamily
 from .tolerances import MAX_QUBITS
 
@@ -320,17 +327,15 @@ def _point_rows(
     family = StateFamily(kind, agg.n_qubits)
     gammas = tuple(float(g) for g in agg.gamma)
 
-    rows = []
+    rows, has_formula = [], _has_closed_form(family)
     blocks = _spectrum_blocks(kind, np.repeat(agg.gamma[None, :], len(cuts), axis=0), cuts)
     for report in (r for block, spectra in blocks for r in _reports(cuts[block], spectra)):
-        try:
+        formula_value: Union[float, None] = None
+        abs_error: Union[float, None] = None
+        if has_formula:
             value, predicts = closed_form(family, agg, report.cut)
-            oracle_side = getattr(report, predicts)
-            formula_value: Union[float, None] = float(value)
-            abs_error: Union[float, None] = abs(oracle_side - value)
-        except FormulaUnavailableError:
-            formula_value = None
-            abs_error = None
+            formula_value = float(value)
+            abs_error = abs(getattr(report, predicts) - value)
         rows.append(
             ResultRow(
                 family=kind.value,

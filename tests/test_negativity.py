@@ -35,7 +35,7 @@ from decohere import (
 )
 from decohere import negativity, verify
 from decohere.negativity import _SPECTRA, _dense_spectra, closed_form
-from decohere.tolerances import PSD_FLOOR
+from decohere.tolerances import BISECTION_WIDTH, PSD_FLOOR
 from decohere.verify import random_density, run_suite
 
 SQRT2 = np.sqrt(2.0)
@@ -72,10 +72,10 @@ def reference_pt_spectrum(rho, cut):
     return np.sort(np.concatenate([eigs, np.zeros(rho.dim - live.size)]))
 
 
-def reference_cluster_spectrum(gamma, cuts):
-    """The cluster spectra by the route the autosort kernel replaced: crossing
-    edges from Python-int masks, f grown one qubit at a time into new arrays,
-    an in-place butterfly pass per qubit (qubit 1 first), then the 2^-n scale."""
+def reference_cluster_weights(gamma, cuts):
+    """The stabilizer weights by the route the two-buffer build replaced:
+    crossing edges from Python-int masks, f grown one qubit at a time into
+    new arrays; a (k, 2^n) array."""
     k, n = gamma.shape
     flips = np.array([c.cli_bitmask ^ c.cli_bitmask >> 1 for c in cuts], dtype=object)
     signed = gamma.copy()
@@ -88,6 +88,15 @@ def reference_cluster_spectrum(gamma, cuts):
         np.multiply(pairs[:, :, 0], gamma[:, i, None], out=grown[:, :, 0, 1])
         np.multiply(pairs[:, :, 1], signed[:, i, None], out=grown[:, :, 1, 1])
         f = grown.reshape(k, -1)
+    return f
+
+
+def reference_cluster_spectrum(gamma, cuts):
+    """The cluster spectra by the route the autosort kernel replaced: the
+    reference weights, an in-place butterfly pass per qubit (qubit 1
+    first), then the 2^-n scale."""
+    k, n = gamma.shape
+    f = reference_cluster_weights(gamma, cuts)
     out = np.empty_like(f)
     for q in range(n):
         pairs, halves = f.reshape(k, 2**q, 2, -1), out.reshape(k, 2**q, 2, -1)
@@ -95,6 +104,25 @@ def reference_cluster_spectrum(gamma, cuts):
         np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=halves[:, :, 1])
         f, out = out, f
     return f * 2.0**-n
+
+
+def reference_critical_gamma(n, cuts, lo, hi):
+    """The thresholds by the route the sign table replaced: a lockstep
+    bisection whose every step rebuilds each cut's spectrum at its midpoint
+    with ``reference_cluster_spectrum``, in one call over all cuts."""
+    def is_npt(gamma):
+        rows = np.repeat(gamma[:, None], n, axis=1)
+        return reference_cluster_spectrum(rows, cuts).min(axis=1) < PSD_FLOOR
+
+    a, b = np.full(len(cuts), float(lo)), np.full(len(cuts), float(hi))
+    lo_npt = is_npt(a)
+    assert (lo_npt != is_npt(b)).all()
+    while (active := b - a > BISECTION_WIDTH).any():
+        mid = 0.5 * (a + b)
+        keeps_lo = is_npt(mid) == lo_npt
+        a = np.where(active & keeps_lo, mid, a)
+        b = np.where(active & ~keeps_lo, mid, b)
+    return (0.5 * (a + b)).tolist()
 
 
 def reference_report(eigs):
@@ -896,13 +924,20 @@ class TestCriticalGamma:
         assert "1|2,3" not in message and "1,2|3" not in message
 
     def test_kernel_calls_stay_within_the_block_bound(self, monkeypatch):
-        n, kernel, values = 10, negativity._cluster_spectrum, []
+        n, values, tables = 10, [], []
+        transform, build = negativity._walsh_hadamard, negativity._cluster_signs
 
-        def spy(gamma, cuts):
-            values.append(gamma.shape[0] * 2**n)
-            return kernel(gamma, cuts)
+        def spy(f, spare, n_qubits):
+            assert n_qubits == n and spare.size == f.size
+            values.append(f.size)
+            return transform(f, spare, n_qubits)
 
-        monkeypatch.setitem(negativity._SPECTRA, Family.CLUSTER, spy)
+        def count(cuts, n_qubits):
+            tables.append(len(cuts))
+            return build(cuts, n_qubits)
+
+        monkeypatch.setattr(negativity, "_walsh_hadamard", spy)
+        monkeypatch.setattr(negativity, "_cluster_signs", count)
         cuts = enumerate_cuts(n)
         assert len(cuts) == 511
         got = critical_gamma(StateFamily(Family.CLUSTER, n), cuts, 0.05, 0.999)
@@ -910,6 +945,50 @@ class TestCriticalGamma:
         assert max(values) <= negativity._BLOCK_VALUES
         # the blocks cover every cut once per evaluation of the predicate
         assert sum(values) % (511 * 2**n) == 0
+        # the sign table is built once per call, for all cuts
+        assert tables == [511]
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("lo, hi", [(0.05, 0.999), (0.18, 0.42)])
+    def test_thresholds_equal_the_per_step_rebuild(self, n, lo, hi):
+        # every cut's threshold is the float of a bisection that rebuilds
+        # the spectrum from gamma at every step
+        cuts = enumerate_cuts(n)
+        got = critical_gamma(StateFamily(Family.CLUSTER, n), cuts, lo, hi)
+        want = reference_critical_gamma(n, cuts, lo, hi)
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_sign_table_from_the_masks(self, n):
+        # sign (-1)^|s & s >> 1 & crossing| per cut, the crossing edge
+        # (i, i+1) as bit n-1-i of s, where qubit 1 is the top bit
+        cuts = enumerate_cuts(n)
+        signs = negativity._cluster_signs(cuts, n)
+        assert signs.dtype == np.int8 and signs.shape == (len(cuts), 2**n)
+        s = np.arange(2**n)
+        for cut, row in zip(cuts, signs):
+            members = cut._side(1)
+            crossing = sum(
+                1 << (n - 1 - i) for i in range(1, n) if (i in members) != (i + 1 in members)
+            )
+            flips = np.array([bin(v).count("1") for v in s & s >> 1 & crossing])
+            assert row.tolist() == ((-1) ** flips).tolist(), cut.human()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_step_weights_equal_the_reference_build(self, n):
+        # f from the sign table at random per-row gamma, with rows at 0 and
+        # 1, against the build from gamma on every qubit, bit for bit
+        cuts = enumerate_cuts(n)
+        cuts += cuts[:1] * 2
+        gamma = np.random.default_rng([n, 17]).uniform(0, 1, len(cuts))
+        gamma[-2:] = 0.0, 1.0
+        signs = negativity._cluster_signs(cuts, n)
+        out = np.empty(signs.size)
+        got = negativity._homogeneous_weights(signs, negativity._popcounts(n), gamma, out)
+        assert got is out
+        rows = np.repeat(gamma[:, None], n, axis=1)
+        assert got.tobytes() == reference_cluster_weights(rows, cuts).tobytes()
+        assert got.tobytes() == negativity._cluster_weights(rows, cuts)[0].tobytes()
 
     def test_ghz_has_no_transition_inside_bracket(self):
         with pytest.raises(BracketError):
