@@ -4,12 +4,12 @@ Unlike GHZ and W states, cluster chains become PPT across individual cuts at
 nonzero homogeneous gamma. This script bisects the oracle's NPT verdict for
 every cut of chains up to --max-n and prints the thresholds; for the 2- and
 3-qubit chains it also checks them against the closed forms (sqrt(2)-1, and
-the root of g^3 + g^2 + 3g - 1 for the middle-qubit cut). Each bisection
-step reads the structured partial-transpose spectra of the chain: one
-batched transform per step for all cuts of the chain, a Walsh-Hadamard
-transform of 2^n numbers per cut, and no matrix. The signs of those
-numbers depend only on the cut, so they are built once per chain, as an
-int8 table, and each step scales them by powers of its gamma (see
+the root of g^3 + g^2 + 3g - 1 for the middle-qubit cut). No step builds
+a matrix: at homogeneous gamma each partial-transpose eigenvalue is an
+integer polynomial in gamma over 2^n, and cuts with the same run lengths
+of crossing edges share a spectrum. So each chain tabulates the
+polynomials of one cut per class once, from Walsh-Hadamard transforms,
+and each step evaluates all classes with one product (see
 decohere.negativity.critical_gamma). Each cut is rendered once, for the
 printed line, the CSV row and the middle-cut check.
 

@@ -28,11 +28,11 @@ with the floats of an in-place butterfly; the W PT is block diagonal with
 exactly one negative eigenvalue; the GHZ spectrum is {1/2, 1/2,
 +-prod(gamma)/2} plus zeros. The structured path evaluates all the cuts of
 a point in blocked batched kernel calls, each block summarized after one
-sort, and the bisection steps all the cuts of a cluster chain in lockstep.
-At homogeneous gamma a cluster weight is sign(s) gamma^|s|, so the
-bisection builds each cut's signs once, as an int8 table, and every step
-only scales them by powers of its gamma before the transform; GHZ and W
-have no transition to bisect, being NPT on every cut for gamma > 0.
+sort. At homogeneous gamma each cluster PT eigenvalue is an integer
+polynomial in gamma over 2^n, and cuts with the same run lengths of
+crossing edges share a spectrum, so the bisection tabulates the
+polynomials of one cut per class once and evaluates them with one product
+per step; GHZ and W have no transition to bisect (NPT for all gamma > 0).
 
 Two scalar summaries of a PT spectrum are reported side by side:
 
@@ -516,21 +516,30 @@ def _popcounts(n: int) -> np.ndarray:
     return counts
 
 
-def _homogeneous_weights(
-    signs: np.ndarray, weight: np.ndarray, gamma: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """``_cluster_weights`` at gamma[r] on every qubit of row r, into the
-    flat buffer ``out``: f(s) = signs[r, s] gamma[r]^weight[s]. The powers
-    are one sequential ``cumprod`` per row, the build's own products at
-    homogeneous gamma, and negation is exact: every value is the build's."""
-    powers = np.empty((len(gamma), weight[-1] + 1))  # weight[-1] is n
-    powers[:, 0] = 1.0
-    powers[:, 1:] = gamma[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    rows = out.reshape(signs.shape)
-    np.take(powers, weight, axis=1, out=rows, mode="clip")
-    np.multiply(rows, signs, out=rows)
-    return out
+def _run_lengths(cut: BipartiteCut) -> tuple[int, ...]:
+    """The class of a cluster cut at homogeneous gamma: the sorted lengths of
+    its runs of crossing edges, the runs of 1 bits of ``m ^ m >> 1`` below
+    bit n-1. The PT spectrum is the Kronecker product of the runs' spectra
+    and of {(1 +- gamma)/2} per other qubit, so cuts of one class share it."""
+    flips = (cut.cli_bitmask ^ cut.cli_bitmask >> 1) & ((1 << cut.n_qubits - 1) - 1)
+    return tuple(sorted(len(run) for run in f"{flips:b}".split("0") if run))
+
+
+def _cluster_polynomials(cuts, n: int) -> np.ndarray:
+    """The PT eigenvalues of each cut of an n-qubit chain as polynomials in a
+    homogeneous gamma, a (k, n+1, 2^n) array: entry [r, w, t] is 2^-n times
+    the sum over |s| = w of sign_r(s) (-1)^(s.t), the coefficient of gamma^w
+    in the eigenvalue on ket t. Each entry is an integer times 2^-n, so the
+    table is exact. Row (r, w) is the transform of the sign row of cuts[r]
+    masked to |s| = w, block by block."""
+    signs, weight = _cluster_signs(cuts, n), _popcounts(n)
+    table = np.empty((len(cuts), n + 1, 2**n))
+    rows = table.reshape(-1, 2**n)
+    for block in _blocks(len(rows), n):
+        r, w = np.divmod(np.arange(len(rows))[block], n + 1)
+        masked = np.where(weight == w[:, None], signs[r], 0.0)
+        rows[block] = _walsh_hadamard(masked.ravel(), np.empty(masked.size), n)
+    return table
 
 
 def critical_gamma(
@@ -544,23 +553,16 @@ def critical_gamma(
     Returns one threshold per cut, in the order of ``cuts``. All qubits
     share one gamma (no phase — phases never move eigenvalues). The
     predicate is the NPT verdict of the structured cluster spectrum at that
-    homogeneous gamma, the same spectrum ``negativity_oracle((family,
-    agg), cut)`` reads, so this works for chains too long for a closed form
-    and no step builds a matrix. Every cut starts from ``[lo, hi]`` and
-    halves its own bracket, so the cuts advance in lockstep: each step reads
-    the spectra of all cuts at their own midpoints from one batched
-    transform per block of ``_BLOCK_VALUES``. Each cut sees the arithmetic
-    of a one-cut bisection, so its threshold is the same float.
-
-    At homogeneous gamma the stabilizer weight is f(s) = sign(s) gamma^|s|,
-    and only the sign depends on the cut. So the signs of every cut are
-    built once per call, as an int8 table of k 2^n bytes (8 KiB for the 63
-    cuts of a 7-qubit chain, 8 MiB for the 2,047 of a 12-qubit one), with
-    the popcounts |s|. Each step then forms f from the table and one
-    ``cumprod`` row of powers per cut (``_homogeneous_weights``), the
-    floats of the full build, and transforms it in two buffers reused by
-    every step. ``scripts/cluster_thresholds.py --max-n 7`` bisects in
-    about 21 ms, against 31 ms with a full build per step (2-core Xeon).
+    gamma, so this works for chains too long for a closed form and no step
+    builds a matrix. Cuts of one run-length class (``_run_lengths``) share
+    their spectrum, so one representative per class is bisected: its
+    eigenvalues are exact polynomials in gamma (``_cluster_polynomials``),
+    tabulated once per call, and each step evaluates every class at its own
+    midpoint with one ``cumprod`` row of powers per class and one
+    ``matmul``. The classes halve their brackets in lockstep, each with the
+    arithmetic of a one-cut bisection. ``scripts/cluster_thresholds.py
+    --max-n 7`` bisects in about 10 ms, against 20 ms with one transform per
+    cut and step (2-core Xeon).
 
     Every cut must straddle the transition, or BracketError names those
     that do not. GHZ and W raise BracketError for any bracket: their PT
@@ -580,25 +582,23 @@ def critical_gamma(
             "no transition to bisect"
         )
 
-    signs, weight, blocks = _cluster_signs(cuts, n), _popcounts(n), _blocks(len(cuts), n)
-    # two buffers of the largest block, reused by every step
-    size = signs[blocks[0]].size if blocks else 0
-    f, spare = np.empty(size), np.empty(size)
+    reps = {}  # run lengths -> (class index, first cut of the class)
+    klass = np.array([reps.setdefault(_run_lengths(c), (len(reps), c))[0] for c in cuts], dtype=int)
+    table = _cluster_polynomials([rep for _, rep in reps.values()], n)
+    powers = np.empty(table.shape[:2])
 
     def is_npt(gamma: np.ndarray) -> np.ndarray:
-        """The verdict of cut r at homogeneous gamma[r], for every r."""
-        out = np.empty(len(cuts), dtype=bool)
-        for block in blocks:
-            table = signs[block]
-            weights = _homogeneous_weights(table, weight, gamma[block], f[: table.size])
-            out[block] = _is_npt(_walsh_hadamard(weights, spare[: table.size], n).min(axis=1))
-        return out
+        """The verdict of class c at homogeneous gamma[c], for every c."""
+        powers[:, 0] = 1.0
+        powers[:, 1:] = gamma[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        return _is_npt(np.matmul(powers[:, None], table)[:, 0].min(axis=1))
 
-    a, b = np.full(len(cuts), float(lo)), np.full(len(cuts), float(hi))
+    a, b = np.full(len(table), float(lo)), np.full(len(table), float(hi))
     lo_npt = is_npt(a)
     stuck = [
         f"cut {cut.human()} is {'NPT' if npt else 'PPT'} at both ends of [{lo}, {hi}]"
-        for cut, npt, same in zip(cuts, lo_npt, lo_npt == is_npt(b))
+        for cut, npt, same in zip(cuts, lo_npt[klass], (lo_npt == is_npt(b))[klass])
         if same
     ]
     if stuck:
@@ -608,4 +608,4 @@ def critical_gamma(
         keeps_lo = is_npt(mid) == lo_npt
         a = np.where(active & keeps_lo, mid, a)
         b = np.where(active & ~keeps_lo, mid, b)
-    return (0.5 * (a + b)).tolist()
+    return (0.5 * (a + b))[klass].tolist()

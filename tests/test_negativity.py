@@ -933,7 +933,7 @@ class TestCriticalGamma:
             return transform(f, spare, n_qubits)
 
         def count(cuts, n_qubits):
-            tables.append(len(cuts))
+            tables.append([negativity._run_lengths(cut) for cut in cuts])
             return build(cuts, n_qubits)
 
         monkeypatch.setattr(negativity, "_walsh_hadamard", spy)
@@ -943,10 +943,22 @@ class TestCriticalGamma:
         got = critical_gamma(StateFamily(Family.CLUSTER, n), cuts, 0.05, 0.999)
         assert len(got) == 511
         assert max(values) <= negativity._BLOCK_VALUES
-        # the blocks cover every cut once per evaluation of the predicate
-        assert sum(values) % (511 * 2**n) == 0
-        # the sign table is built once per call, for all cuts
-        assert tables == [511]
+        # the table is built once per call, from one representative cut per
+        # run-length class: one transformed row per class and power of gamma
+        [classes] = tables
+        assert len(classes) == len(set(classes)) == 41
+        assert sum(values) == 41 * (n + 1) * 2**n
+
+    def test_no_cuts_give_no_thresholds(self):
+        assert critical_gamma(StateFamily(Family.CLUSTER, 5), [], 0.05, 0.999) == []
+
+    def test_duplicate_cuts_each_get_their_own_threshold(self):
+        family = StateFamily(Family.CLUSTER, 3)
+        cuts = [cut_of(3, {1}), cut_of(3, {1, 3}), cut_of(3, {1}), cut_of(3, {1, 2})]
+        cuts.append(cuts[1])
+        got = critical_gamma(family, cuts, 0.1, 0.9)
+        assert got == [critical_gamma(family, [cut], 0.1, 0.9)[0] for cut in cuts]
+        assert got[0] == got[2] == got[3] != got[1] == got[4]
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("lo, hi", [(0.05, 0.999), (0.18, 0.42)])
@@ -974,21 +986,65 @@ class TestCriticalGamma:
             flips = np.array([bin(v).count("1") for v in s & s >> 1 & crossing])
             assert row.tolist() == ((-1) ** flips).tolist(), cut.human()
 
+    @staticmethod
+    def brute_run_lengths(cut):
+        # walk the chain edges on the cut's sides, closing a run at each
+        # edge that does not cross
+        members, runs, length = set(cut._side(1)), [], 0
+        for i in range(1, cut.n_qubits):
+            if (i in members) != (i + 1 in members):
+                length += 1
+            elif length:
+                runs, length = runs + [length], 0
+        return tuple(sorted(runs + [length] if length else runs))
+
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_step_weights_equal_the_reference_build(self, n):
-        # f from the sign table at random per-row gamma, with rows at 0 and
-        # 1, against the build from gamma on every qubit, bit for bit
+    def test_run_lengths_from_the_sides(self, n):
         cuts = enumerate_cuts(n)
-        cuts += cuts[:1] * 2
-        gamma = np.random.default_rng([n, 17]).uniform(0, 1, len(cuts))
-        gamma[-2:] = 0.0, 1.0
-        signs = negativity._cluster_signs(cuts, n)
-        out = np.empty(signs.size)
-        got = negativity._homogeneous_weights(signs, negativity._popcounts(n), gamma, out)
-        assert got is out
-        rows = np.repeat(gamma[:, None], n, axis=1)
-        assert got.tobytes() == reference_cluster_weights(rows, cuts).tobytes()
-        assert got.tobytes() == negativity._cluster_weights(rows, cuts)[0].tobytes()
+        keys = [negativity._run_lengths(cut) for cut in cuts]
+        assert keys == [self.brute_run_lengths(cut) for cut in cuts]
+
+    def test_class_counts(self):
+        counts = {n: len(set(map(negativity._run_lengths, enumerate_cuts(n)))) for n in (7, 10, 12)}
+        assert counts == {7: 14, 10: 41, 12: 76}
+
+    @pytest.mark.parametrize(
+        "n, mask, want",
+        [
+            (64, int("01" * 32, 2), (63,)),
+            (64, 0b1011 | 0b101 << 60, (3, 4)),
+            (100, 1, (1,)),
+            (100, 1 | 1 << 99, (1, 1)),
+            (100, (2**100 - 1) // 3, (99,)),
+            (100, 0b0101010101 << 90 | 1, (1, 10)),
+        ],
+    )
+    def test_run_lengths_of_long_chains(self, n, mask, want):
+        # masks past 2^63 are Python ints
+        cut = BipartiteCut(n, mask)
+        assert negativity._run_lengths(cut) == self.brute_run_lengths(cut) == want
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_polynomial_table_against_the_reference(self, n):
+        cuts = enumerate_cuts(n)
+        table = negativity._cluster_polynomials(cuts, n)
+        assert table.shape == (len(cuts), n + 1, 2**n)
+        # every coefficient is an integer times 2^-n
+        scaled = table * 2**n
+        assert np.array_equal(scaled, np.round(scaled))
+        # evaluated at random homogeneous gamma, the spectrum of every cut
+        gamma = np.random.default_rng([n, 18]).uniform(0, 1, len(cuts))
+        powers = gamma[:, None] ** np.arange(n + 1)
+        got = np.sort(np.matmul(powers[:, None], table)[:, 0], axis=1)
+        want = np.sort(reference_cluster_spectrum(np.repeat(gamma[:, None], n, axis=1), cuts), axis=1)
+        assert np.abs(got - want).max() <= 1e-15
+        # the cuts of one run-length class have the same polynomials, up to
+        # the order of the kets
+        first = {}
+        for cut, rows in zip(cuts, scaled.astype(np.int64).transpose(0, 2, 1)):
+            rows = rows[np.lexsort(rows.T)]
+            same = first.setdefault(negativity._run_lengths(cut), rows)
+            assert np.array_equal(rows, same), cut.human()
 
     def test_ghz_has_no_transition_inside_bracket(self):
         with pytest.raises(BracketError):
