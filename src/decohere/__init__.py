@@ -55,6 +55,7 @@ from .negativity import (
     enumerate_cuts,
     ghz_negativity_formula,
     negativity_oracle,
+    negativity_reports,
     w_negativity_formula,
 )
 from .states import Family, StateFamily, make_cluster, make_ghz, make_state, make_w, to_density

@@ -30,7 +30,8 @@ values for the explicit form) together with the cuts to report, resolved
 for that point's qubit count.
 
 Result rows carry both oracle quantities, read from the family's structured
-partial-transpose spectrum (no density matrix is built), plus the closed
+partial-transpose spectrum (``negativity_reports`` of the family and the
+point's aggregate; no density matrix is built), plus the closed
 form where one exists. ``abs_error`` compares the formula against the
 oracle quantity the formula predicts: the signed minimum eigenvalue for GHZ
 and W, the negativity sum for cluster chains (see ``negativity.closed_form``).
@@ -50,10 +51,9 @@ from .errors import ConfigError, DecohereError
 from .negativity import (
     BipartiteCut,
     _has_closed_form,
-    _reports,
-    _spectrum_blocks,
     closed_form,
     enumerate_cuts,
+    negativity_reports,
 )
 from .states import Family, StateFamily
 from .tolerances import MAX_QUBITS
@@ -328,8 +328,7 @@ def _point_rows(
     gammas = tuple(float(g) for g in agg.gamma)
 
     rows, has_formula = [], _has_closed_form(family)
-    blocks = _spectrum_blocks(kind, np.repeat(agg.gamma[None, :], len(cuts), axis=0), cuts)
-    for report in (r for block, spectra in blocks for r in _reports(cuts[block], spectra)):
+    for report in negativity_reports((family, agg), cuts):
         formula_value: Union[float, None] = None
         abs_error: Union[float, None] = None
         if has_formula:

@@ -12,9 +12,11 @@ convention of ``linalg``: enumeration, CSV rows, the structured spectra and
 the dense partial transpose all read the mask, and the W closed form reads
 the sides' qubits off it.
 
-The oracle has two paths, chosen by what it is given. A ``DensityMatrix``
-gets its partial transpose eigensolved only on the indices whose row or
-column holds a nonzero; every other index is an exact zero eigenvalue, so a
+The oracle is one call, ``negativity_reports(state, cuts)``, which checks
+the state and every cut once (``negativity_oracle`` is its one-cut case).
+It has two paths, chosen by what it is given. A ``DensityMatrix`` gets its
+partial transpose eigensolved only on the indices whose row or column
+holds a nonzero; every other index is an exact zero eigenvalue, so a
 dephased GHZ PT is solved as a 4 x 4 matrix and a W PT as one of size
 1 + n + |A||B|. One pass over the nonzeros of rho serves every cut: each
 cut's live indices are read through the PT's bit swap, only that block is
@@ -38,7 +40,7 @@ Two scalar summaries of a PT spectrum are reported side by side:
 
 * ``min_eigenvalue`` — the single most negative eigenvalue (signed);
 * ``negativity_sum`` — the sum of |negative eigenvalues|, the standard
-  negativity.
+  negativity (Vidal, Werner, PRA 65, 032314 (2002)).
 
 They coincide when exactly one eigenvalue is negative (GHZ and W always;
 cluster chains on their middle cut), but they genuinely differ on the outer
@@ -158,17 +160,11 @@ def _reports(cuts, spectra: np.ndarray) -> list[NegativityReport]:
     rounding noise. One sort serves the block; each row's negatives are the
     prefix of its sorted row, summed as one slice (a one-row call's sum)."""
     ordered = np.sort(spectra, axis=1)
-    counts = np.count_nonzero(ordered < PSD_FLOOR, axis=1).tolist()
+    counts = (ordered < PSD_FLOOR).sum(axis=1).tolist()
     return [
         NegativityReport(cut, float(row[0]), float(-row[:c].sum()) if c else 0.0)
         for cut, row, c in zip(cuts, ordered, counts)
     ]
-
-
-def _report(cut: BipartiteCut, eigs: np.ndarray) -> NegativityReport:
-    """Summarize one PT spectrum: the one-row case of ``_reports``."""
-    [report] = _reports([cut], eigs[None])
-    return report
 
 
 def _ghz_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
@@ -281,21 +277,6 @@ def _blocks(k: int, n: int) -> list[slice]:
     return [slice(start, start + rows) for start in range(0, k, rows)]
 
 
-def _spectrum_blocks(kind: Family, gamma: np.ndarray, cuts):
-    """Yield ``(block, spectra)``: one ``_SPECTRA`` call per slice ``block`` of
-    at most ``_BLOCK_VALUES >> n`` cuts of the sequence ``cuts``, one row each."""
-    for block in _blocks(len(cuts), gamma.shape[1]):
-        yield block, _SPECTRA[kind](gamma[block], cuts[block])
-
-
-def _structured_spectra(family: StateFamily, agg: AggregateDephasing, cuts):
-    """Yield ``(cut, spectrum)`` for each cut of the sequence ``cuts``, in
-    order: the structured PT spectrum of ``family`` under ``agg``."""
-    gamma = np.repeat(agg.gamma[None, :], len(cuts), axis=0)
-    for block, spectra in _spectrum_blocks(family.kind, gamma, cuts):
-        yield from zip(cuts[block], spectra)
-
-
 # Most complex block entries ``_dense_spectra`` holds for one round of
 # stacked ``eigvalsh`` calls (256 KiB, one 128 x 128 block): rounds of 2^16
 # entries raised the peak resident set of ``decohere verify --max-n 7`` from
@@ -304,9 +285,9 @@ _DENSE_STACK_ENTRIES = 2**14
 
 
 def _dense_spectra(rho: DensityMatrix, cuts):
-    """Yield ``(cut, spectrum)`` for each cut of the sequence ``cuts``, in
-    order: the ascending spectrum of ``rho``'s partial transpose on that
-    cut, solved on its support.
+    """Yield ``(cut, spectrum)`` for each cut of the checked sequence
+    ``cuts``, in order: the ascending spectrum of ``rho``'s partial
+    transpose on that cut, solved on its support.
 
     Entry (i, j) of the PT is rho[i ^ d, j ^ d], d = (i ^ j) & m, where m
     holds the index bits of P1's qubits, so each nonzero (a, b) of ``rho``
@@ -328,9 +309,7 @@ def _dense_spectra(rho: DensityMatrix, cuts):
         moved = rows ^ cols
     held, entries = [], 0
     for cut in cuts:
-        if cut.n_qubits != n:
-            raise InvalidPartitionError(f"cut is over {cut.n_qubits} qubits, state has {n}")
-        m = sum(1 << (n - q) for q in cut._side(1))
+        m = int(f"{cut.cli_bitmask:0{n}b}"[::-1], 2)  # qubit q is index bit n - q
         if full_support:
             live = np.arange(dim)
         else:
@@ -368,35 +347,68 @@ def _solve_stacked(held, dim: int):
         yield cut, np.sort(np.concatenate([values, np.zeros(dim - values.size)]))
 
 
-def negativity_oracle(
-    state: Union[DensityMatrix, tuple[StateFamily, AggregateDephasing]], cut: BipartiteCut
-) -> NegativityReport:
-    """Exact PT spectrum summary for one cut.
+State = Union[DensityMatrix, tuple[StateFamily, AggregateDephasing]]
+
+
+def _n_qubits(state: State) -> int:
+    """The register size of ``state``, a ``DensityMatrix`` or a
+    ``(StateFamily, AggregateDephasing)`` pair of one size."""
+    if isinstance(state, DensityMatrix):
+        return state.n_qubits
+    family, agg = state if isinstance(state, tuple) and len(state) == 2 else (None, None)
+    if not isinstance(family, StateFamily) or not isinstance(agg, AggregateDephasing):
+        raise TypeError("state must be a DensityMatrix or a (StateFamily, AggregateDephasing) pair")
+    n = family.n_qubits
+    if agg.n_qubits != n:
+        raise InvalidSizeError(f"aggregate covers {agg.n_qubits} qubits, family has {n}")
+    return n
+
+
+def _check_cuts(cuts, n: int) -> list[BipartiteCut]:
+    """The iterable ``cuts`` as a list of ``BipartiteCut`` over n qubits:
+    TypeError for a non-cut, InvalidPartitionError for another size."""
+    cuts = list(cuts)
+    for cut in cuts:
+        if not isinstance(cut, BipartiteCut):
+            raise TypeError(f"a cut must be a BipartiteCut, got {cut!r}")
+        if cut.n_qubits != n:
+            raise InvalidPartitionError(f"cut is over {cut.n_qubits} qubits, state has {n}")
+    return cuts
+
+
+def _spectra(state: State, cuts: list[BipartiteCut]):
+    """Yield ``(block, spectra)`` pairs covering the checked list ``cuts`` in
+    order, row r of ``spectra`` the PT spectrum of ``block[r]``: for a
+    family pair one ``_SPECTRA`` call per ``_blocks`` slice, for a
+    ``DensityMatrix`` one row per cut from ``_dense_spectra``."""
+    if isinstance(state, DensityMatrix):
+        for cut, spectrum in _dense_spectra(state, cuts):
+            yield [cut], spectrum[None]
+        return
+    family, agg = state
+    gamma = np.repeat(agg.gamma[None, :], len(cuts), axis=0)
+    for block in _blocks(len(cuts), family.n_qubits):
+        yield cuts[block], _SPECTRA[family.kind](gamma[block], cuts[block])
+
+
+def negativity_reports(state: State, cuts) -> list[NegativityReport]:
+    """Exact PT spectrum summaries for the iterable ``cuts``, in order.
 
     ``state`` is either a ``DensityMatrix``, whose partial transpose is
     solved densely on the rows and columns it touches, the rest padded with
     exact zeros (``_dense_spectra``), or a ``(StateFamily,
     AggregateDephasing)`` pair: the family state under that dephasing, whose
-    PT spectrum is written down from the family's structure without
-    building any matrix. Phases are local Rz rotations and do not enter that
-    spectrum.
+    PT spectrum is written down from the family's structure in blocked
+    batched kernel calls, with no matrix; phases are local Rz rotations and
+    do not enter it. The state and every cut are checked first.
     """
-    if isinstance(state, DensityMatrix):
-        [(_, spectrum)] = _dense_spectra(state, [cut])
-        return _report(cut, spectrum)
-    family, agg = state if isinstance(state, tuple) and len(state) == 2 else (None, None)
-    if not isinstance(family, StateFamily) or not isinstance(agg, AggregateDephasing):
-        raise TypeError("state must be a DensityMatrix or a (StateFamily, AggregateDephasing) pair")
-    if cut.n_qubits != family.n_qubits:
-        raise InvalidPartitionError(
-            f"cut is over {cut.n_qubits} qubits, family has {family.n_qubits}"
-        )
-    if agg.n_qubits != family.n_qubits:
-        raise InvalidSizeError(
-            f"aggregate covers {agg.n_qubits} qubits, family has {family.n_qubits}"
-        )
-    [(_, spectrum)] = _structured_spectra(family, agg, [cut])
-    return _report(cut, spectrum)
+    cuts = _check_cuts(cuts, _n_qubits(state))
+    return [r for block, spectra in _spectra(state, cuts) for r in _reports(block, spectra)]
+
+
+def negativity_oracle(state: State, cut: BipartiteCut) -> NegativityReport:
+    """Exact PT spectrum summary for one cut: ``negativity_reports``."""
+    return negativity_reports(state, [cut])[0]
 
 
 def ghz_negativity_formula(agg: AggregateDephasing) -> float:
@@ -484,10 +496,10 @@ def closed_form(
     return cluster_negativity_formula(agg, cut), "negativity_sum"
 
 
-def distillability_check(rho: DensityMatrix) -> DistillabilityVerdict:
-    """Check the all-cuts-NPT necessary condition for n-partite distillability."""
-    cuts = enumerate_cuts(rho.n_qubits)
-    reports = [_report(cut, spectrum) for cut, spectrum in _dense_spectra(rho, cuts)]
+def distillability_check(state: State) -> DistillabilityVerdict:
+    """Check the all-cuts-NPT necessary condition for n-partite
+    distillability: ``negativity_reports`` of either kind of state."""
+    reports = negativity_reports(state, enumerate_cuts(_n_qubits(state)))
     ppt = tuple(r.cut for r in reports if not r.npt)
     worst = max(reports, key=lambda r: r.min_eigenvalue).cut
     return DistillabilityVerdict(
@@ -572,10 +584,7 @@ def critical_gamma(
     """
     if not 0.0 <= lo < hi <= 1.0:
         raise BracketError(f"bracket [{lo}, {hi}] is not an ordered subinterval of [0, 1]")
-    n, cuts = family.n_qubits, list(cuts)
-    for cut in cuts:
-        if cut.n_qubits != n:
-            raise InvalidPartitionError(f"cut is over {cut.n_qubits} qubits, family has {n}")
+    n, cuts = family.n_qubits, _check_cuts(cuts, family.n_qubits)
     if family.kind is not Family.CLUSTER:
         raise BracketError(
             f"{family.kind.value} states are NPT on every cut for every gamma > 0; "

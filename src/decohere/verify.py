@@ -35,14 +35,7 @@ from .channel import (
     schedule_aggregate,
 )
 from .linalg import DensityMatrix, _qubit_view, partial_trace, partial_transpose
-from .negativity import (
-    BipartiteCut,
-    _dense_spectra,
-    _report,
-    _structured_spectra,
-    enumerate_cuts,
-    negativity_oracle,
-)
+from .negativity import BipartiteCut, _reports, _spectra, enumerate_cuts, negativity_reports
 from .states import Family, StateFamily, make_cluster, make_ghz, make_state, make_w, to_density
 
 
@@ -162,8 +155,8 @@ def check_pt_spectrum_range(max_n: int, rng: np.random.Generator) -> PropertyRes
             rho = random_density(rng, n)
             if np.linalg.norm(rho.mat) <= 0.5:
                 continue
-            for _, eigs in _dense_spectra(rho, enumerate_cuts(n)):
-                worst = max(worst, float(-0.5 - eigs[0]), float(eigs[-1] - 1.0))
+            for _, spectra in _spectra(rho, enumerate_cuts(n)):
+                worst = max(worst, float(-0.5 - spectra.min()), float(spectra.max() - 1.0))
     return PropertyResult("pt_spectrum_range", worst <= 1e-9, worst, 1e-9)
 
 
@@ -334,8 +327,8 @@ def check_strict_positivity_persistence(max_n: int, rng: np.random.Generator) ->
                     min_collisions=1, max_collisions=2,
                 )
                 dephased = apply_dephasing(rho, schedule_aggregate(sched))
-                for _, eigs in _dense_spectra(dephased, enumerate_cuts(n)):
-                    worst_margin = max(worst_margin, float(eigs[0]))
+                for report in negativity_reports(dephased, enumerate_cuts(n)):
+                    worst_margin = max(worst_margin, report.min_eigenvalue)
     return PropertyResult(
         "strict_positivity_persistence",
         worst_margin < 0.0,
@@ -355,12 +348,11 @@ def check_cluster_vs_ghz_ordering(max_n: int, rng: np.random.Generator) -> Prope
     """
     worst_gap = np.inf  # smallest (ghz - cluster) on the n=2 grid; must stay > 0
     rho2 = to_density(make_cluster(2))
-    cut2 = enumerate_cuts(2)[0]
     grid = np.round(np.arange(0.45, 0.999, 0.05), 10)
     for g in grid:
         agg = AggregateDephasing.homogeneous(2, float(g))
-        cluster_neg = negativity_oracle(apply_dephasing(rho2, agg), cut2).negativity_sum
-        worst_gap = min(worst_gap, 0.5 * g * g - cluster_neg)
+        [report] = negativity_reports(apply_dephasing(rho2, agg), enumerate_cuts(2))
+        worst_gap = min(worst_gap, 0.5 * g * g - report.negativity_sum)
 
     detail = "n=2 ordering strict"
     if max_n >= 3:
@@ -368,9 +360,7 @@ def check_cluster_vs_ghz_ordering(max_n: int, rng: np.random.Generator) -> Prope
         rho3 = to_density(make_cluster(3))
         agg = AggregateDephasing.homogeneous(3, g)
         dephased = apply_dephasing(rho3, agg)
-        worst3 = max(
-            negativity_oracle(dephased, cut).negativity_sum for cut in enumerate_cuts(3)
-        )
+        worst3 = max(r.negativity_sum for r in negativity_reports(dephased, enumerate_cuts(3)))
         detail += (
             f"; n=3 counterexample logged: at g={g} cluster reaches {worst3:.3f} "
             f"vs GHZ {0.5 * g**3:.3f} (no n=3 assertion)"
@@ -397,9 +387,10 @@ def check_structured_vs_dense(
     Per n there are two aggregates: random gamma and phases, and the same
     kind of draw with one random qubit at gamma = 0, which empties PT rows
     and columns. Phases reach the dense side only, so agreement also shows
-    that they never move the spectrum. Each report is ``_report`` of its
-    path's spectrum, exactly what ``negativity_oracle`` returns, so each cut
-    is eigensolved once and each aggregate takes one batched kernel call.
+    that they never move the spectrum. Each side's reports are ``_reports``
+    of its ``_spectra`` rows, exactly what ``negativity_reports`` returns,
+    so each cut is eigensolved once and each aggregate takes one batched
+    kernel call per block.
     """
     worst = 0.0
     for n in range(2, max_n + 1):
@@ -410,18 +401,17 @@ def check_structured_vs_dense(
         gamma[rng.integers(n)] = 0.0
         cuts = enumerate_cuts(n)
         for agg in (live, AggregateDephasing(gamma, dead.phase)):
-            rho = apply_dephasing(pure, agg)
-            for (cut, spectrum), (_, eigs) in zip(
-                _structured_spectra(family, agg, cuts), _dense_spectra(rho, cuts)
-            ):
-                fast, dense = _report(cut, spectrum), _report(cut, eigs)
+            fast, dense = (
+                np.concatenate([spectra for _, spectra in _spectra(state, cuts)])
+                for state in ((family, agg), apply_dephasing(pure, agg))
+            )
+            spread = np.abs(np.sort(fast) - dense).max()
+            worst = max(worst, spread, -0.5 - dense.min(), dense.max() - 1.0)
+            for a, b in zip(_reports(cuts, fast), _reports(cuts, dense)):
                 worst = max(
                     worst,
-                    np.abs(np.sort(spectrum) - eigs).max(),
-                    abs(fast.min_eigenvalue - dense.min_eigenvalue),
-                    abs(fast.negativity_sum - dense.negativity_sum),
-                    -0.5 - eigs[0],
-                    eigs[-1] - 1.0,
+                    abs(a.min_eigenvalue - b.min_eigenvalue),
+                    abs(a.negativity_sum - b.negativity_sum),
                 )
     return PropertyResult(f"{kind.value}_structured_vs_dense", worst <= 1e-12, worst, 1e-12)
 

@@ -28,6 +28,7 @@ from decohere import (
     make_state,
     make_w,
     negativity_oracle,
+    negativity_reports,
     partial_trace,
     partial_transpose,
     to_density,
@@ -267,7 +268,7 @@ class TestOracle:
         with pytest.raises(InvalidPartitionError):
             negativity_oracle(rho, cut_of(2, {1}))
         with pytest.raises(InvalidPartitionError):
-            list(_dense_spectra(rho, [cut_of(3, {1}), cut_of(2, {1})]))
+            negativity_reports(rho, [cut_of(3, {1}), cut_of(2, {1})])
         with pytest.raises(InvalidPartitionError):
             negativity_oracle((StateFamily(Family.GHZ, 3), homog(3, 0.5)), cut_of(2, {1}))
 
@@ -296,6 +297,97 @@ class TestOracle:
         report = negativity_oracle(rho, cut)
         assert report.negativity_sum >= -min(report.min_eigenvalue, 0.0) - 1e-12
         assert report.negativity_sum <= 0.5 + 1e-12
+
+
+class TestNegativityReports:
+    """``negativity_reports`` is the many-cut oracle: one report per cut, in
+    order, each the report a one-cut call gives, on either path."""
+
+    @staticmethod
+    def states(kind, n):
+        """The family pair and the explicitly dephased density matrix of one
+        seeded draw with random gamma and phases."""
+        rng = np.random.default_rng([n, 8, list(Family).index(kind)])
+        family = StateFamily(kind, n)
+        agg = AggregateDephasing(rng.uniform(0, 1, n), rng.uniform(0, 2 * np.pi, n))
+        return (family, agg), apply_dephasing(to_density(make_state(family)), agg)
+
+    @pytest.mark.parametrize(
+        "kind, n", [(kind, n) for kind in Family for n in range(2, 9)] + [(Family.GHZ, 10)]
+    )
+    def test_equal_the_per_cut_oracle(self, kind, n):
+        cuts = enumerate_cuts(n)
+        for state in self.states(kind, n):
+            got = negativity_reports(state, cuts)
+            want = [negativity_oracle(state, cut) for cut in cuts]
+            assert list(map(repr, got)) == list(map(repr, want))
+
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_any_iterable_of_cuts(self, kind):
+        cuts = enumerate_cuts(5)
+        for state in self.states(kind, 5):
+            assert negativity_reports(state, iter(cuts)) == negativity_reports(state, cuts)
+            assert negativity_reports(state, (cut for cut in cuts[::-1])) == [
+                negativity_oracle(state, cut) for cut in cuts[::-1]
+            ]
+            assert negativity_reports(state, []) == []
+
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_rejects_a_non_cut(self, kind):
+        pair, rho = self.states(kind, 3)
+        with pytest.raises(TypeError):
+            negativity_oracle(rho, 1)
+        for state in (pair, rho):
+            with pytest.raises(TypeError):
+                negativity_reports(state, [1])
+            with pytest.raises(TypeError):
+                negativity_reports(state, [cut_of(3, {1}), 0b011])
+        with pytest.raises(TypeError):
+            critical_gamma(StateFamily(Family.CLUSTER, 3), [1], 0.1, 0.9)
+
+    @staticmethod
+    def spy_on_solvers(monkeypatch):
+        """A list that records every ``eigvalsh``, kernel and Walsh-Hadamard
+        call from here on."""
+        calls = []
+
+        def spy(name, function):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(negativity, "_walsh_hadamard", spy("walsh", negativity._walsh_hadamard))
+        for kind, kernel in list(negativity._SPECTRA.items()):
+            monkeypatch.setitem(negativity._SPECTRA, kind, spy(kind.value, kernel))
+        return calls
+
+    @pytest.mark.parametrize("kind, n", [(Family.CLUSTER, 7), (Family.W, 10)])
+    def test_a_wrong_size_cut_last_stops_before_any_solve(self, kind, n, monkeypatch):
+        # n = 7 fills a dense eigvalsh round per cut, n = 10 spans eight
+        # kernel blocks: a check made while solving would have solved some
+        pair, rho = self.states(kind, n)
+        cuts = enumerate_cuts(n)
+        calls = self.spy_on_solvers(monkeypatch)
+        for state in (pair, rho):
+            with pytest.raises(InvalidPartitionError):
+                negativity_reports(state, [*cuts, cut_of(n - 1, {1})])
+            assert calls == []
+        family = StateFamily(Family.CLUSTER, n)
+        with pytest.raises(InvalidPartitionError):
+            critical_gamma(family, [*cuts, cut_of(n - 1, {1})], 0.05, 0.999)
+        assert calls == []
+        # the spies see the solves of the same calls without the bad cut
+        negativity_reports(pair, cuts)
+        assert calls
+        calls.clear()
+        negativity_reports(rho, cuts[:3])
+        assert "eigvalsh" in calls
+        calls.clear()
+        critical_gamma(family, cuts, 0.05, 0.999)
+        assert "walsh" in calls
 
 
 class TestGHZFormula:
@@ -331,8 +423,10 @@ class TestGHZFormula:
         n, agg = 6, homog(6, 0.01)
         rho = apply_dephasing(to_density(make_ghz(n)), agg)
         cuts = enumerate_cuts(n)
-        structured = negativity._structured_spectra(StateFamily(Family.GHZ, n), agg, cuts)
-        return [[eigs for _, eigs in spectra] for spectra in (_dense_spectra(rho, cuts), structured)]
+        return [
+            [eigs for _, spectra in negativity._spectra(state, cuts) for eigs in spectra]
+            for state in (rho, (StateFamily(Family.GHZ, n), agg))
+        ]
 
     def test_small_gamma_minimum_on_every_cut(self):
         for spectra in self.small_gamma_spectra():
@@ -512,7 +606,9 @@ class TestDistillability:
         cuts = enumerate_cuts(n)
         assert [cut for cut, _ in solved] == cuts
         structured = {
-            cut: spectrum.min() for cut, spectrum in negativity._structured_spectra(family, agg, cuts)
+            cut: spectrum.min()
+            for block, spectra in negativity._spectra((family, agg), cuts)
+            for cut, spectrum in zip(block, spectra)
         }
         for cut, smallest in solved:
             assert abs(smallest - structured[cut]) <= 1e-12, cut.human()
@@ -529,6 +625,32 @@ class TestDistillability:
     def test_dephased_ten_qubits_every_cut(self, kind, monkeypatch):
         # all 511 cuts at dim 1024
         self.assert_every_cut_matches_structured(kind, 10, monkeypatch)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_family_pair_matches_the_dense_verdict(self, kind, n):
+        # random gamma and phases, and the same draw with one qubit at gamma
+        # = 0. Cuts with one spectrum tie exactly on the structured path and
+        # to rounding on the dense one, so where the worst cuts differ their
+        # minima must tie.
+        family = StateFamily(kind, n)
+        pure = to_density(make_state(family))
+        rng = np.random.default_rng([n, 9, list(Family).index(kind)])
+        live = rng.uniform(0, 1, n)
+        dead = live.copy()
+        dead[rng.integers(n)] = 0.0
+        for gamma in (live, dead):
+            agg = AggregateDephasing(gamma, rng.uniform(0, 2 * np.pi, n))
+            fast = distillability_check((family, agg))
+            dense = distillability_check(apply_dephasing(pure, agg))
+            assert fast.all_cuts_npt == dense.all_cuts_npt
+            assert fast.ppt_cuts == dense.ppt_cuts
+            reports = negativity_reports((family, agg), enumerate_cuts(n))
+            minima = {r.cut: r.min_eigenvalue for r in reports}
+            assert fast.worst_cut == max(minima, key=minima.get)
+            assert fast.worst_cut == dense.worst_cut or abs(
+                minima[dense.worst_cut] - minima[fast.worst_cut]
+            ) <= 1e-12
 
     def test_worst_cut_is_closest_to_ppt(self):
         # between the two thresholds only the middle-qubit cut stays NPT, so
@@ -648,11 +770,11 @@ def test_pt_spectrum_range_still_eigensolves(monkeypatch):
     solved = []
 
     def spy(rho, cuts):
-        for cut, eigs in _dense_spectra(rho, cuts):
-            solved.append(rho.n_qubits)
-            yield cut, eigs
+        for block, spectra in negativity._spectra(rho, cuts):
+            solved.extend([rho.n_qubits] * len(block))
+            yield block, spectra
 
-    monkeypatch.setattr(verify, "_dense_spectra", spy)
+    monkeypatch.setattr(verify, "_spectra", spy)
     result = verify.check_pt_spectrum_range(5, np.random.default_rng([7, 2]))
     assert result.passed
     assert 2 in solved
@@ -661,12 +783,11 @@ def test_pt_spectrum_range_still_eigensolves(monkeypatch):
 def test_verify_gates_the_family_pt_range(monkeypatch):
     """Family states out of [-1/2, 1] fail ``*_structured_vs_dense`` even
     when the structured and dense spectra agree."""
-    ghz = negativity._SPECTRA[Family.GHZ]
-    monkeypatch.setitem(negativity._SPECTRA, Family.GHZ, lambda gamma, cuts: 3.0 * ghz(gamma, cuts))
+    spectra = negativity._spectra
     monkeypatch.setattr(
         verify,
-        "_dense_spectra",
-        lambda rho, cuts: ((cut, 3.0 * eigs) for cut, eigs in _dense_spectra(rho, cuts)),
+        "_spectra",
+        lambda state, cuts: ((block, 3.0 * rows) for block, rows in spectra(state, cuts)),
     )
     failed = [r.name for r in run_suite(max_n=5, seed=7) if not r.passed]
     assert "ghz_structured_vs_dense" in failed
@@ -786,10 +907,7 @@ class TestStructuredKernels:
         family = StateFamily(kind, n)
         agg = AggregateDephasing(rng.uniform(0, 1, n), rng.uniform(0, 2 * np.pi, n))
         cuts = enumerate_cuts(n)
-        got = [
-            negativity._report(cut, spectrum)
-            for cut, spectrum in negativity._structured_spectra(family, agg, cuts)
-        ]
+        got = negativity_reports((family, agg), cuts)
         assert got == [negativity_oracle((family, agg), cut) for cut in cuts]
 
 
@@ -824,19 +942,21 @@ class TestClusterKernel:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_a_call_spanning_two_blocks(self, n):
         # one row more than a block holds, cuts repeated: the blocks of
-        # _spectrum_blocks and one reference call over all rows agree
+        # _spectra and one reference call over all rows agree
         rows = negativity._BLOCK_VALUES >> n
         cuts = (enumerate_cuts(n) * (rows + 1))[: rows + 1]
-        gamma = np.random.default_rng([n, 6]).uniform(0, 1, (len(cuts), n))
-        blocks = list(negativity._spectrum_blocks(Family.CLUSTER, gamma, cuts))
-        assert [len(spectra) for _, spectra in blocks] == [rows, 1]
+        agg = AggregateDephasing(np.random.default_rng([n, 6]).uniform(0, 1, n), np.zeros(n))
+        blocks = list(negativity._spectra((StateFamily(Family.CLUSTER, n), agg), cuts))
+        assert [block for block, _ in blocks] == [cuts[:rows], cuts[rows:]]
         got = np.concatenate([spectra for _, spectra in blocks])
+        gamma = np.repeat(agg.gamma[None, :], len(cuts), axis=0)
         assert got.tobytes() == reference_cluster_spectrum(gamma, cuts).tobytes()
 
 
 class TestBlockReports:
     """``_reports`` summarizes a block with one sort; each row's report is
-    ``_report`` of that row and the per-row reference, bit for bit."""
+    a one-row ``_reports`` call on that row and the per-row reference, bit
+    for bit."""
 
     @staticmethod
     def assert_rows_match(spectra):
@@ -844,7 +964,7 @@ class TestBlockReports:
         got = negativity._reports(cuts, spectra)
         assert [r.cut for r in got] == cuts
         for report, row in zip(got, spectra):
-            single = negativity._report(cuts[0], row)
+            [single] = negativity._reports(cuts[:1], row[None])
             fields = [report.min_eigenvalue, report.negativity_sum]
             assert list(map(repr, fields)) == list(map(repr, reference_report(row)))
             assert list(map(repr, fields)) == [
