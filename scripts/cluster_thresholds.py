@@ -1,17 +1,15 @@
 """Locate the dephasing thresholds where linear cluster states lose NPT cuts.
 
 Unlike GHZ and W states, cluster chains become PPT across individual cuts at
-nonzero homogeneous gamma. This script bisects the oracle's NPT verdict for
-every cut of chains up to --max-n and prints the thresholds; for the 2- and
-3-qubit chains it also checks them against the closed forms (sqrt(2)-1, and
-the root of g^3 + g^2 + 3g - 1 for the middle-qubit cut). No step builds
-a matrix: at homogeneous gamma each partial-transpose eigenvalue is an
-integer polynomial in gamma over 2^n, and cuts with the same run lengths
-of crossing edges share a spectrum. So each chain tabulates the
-polynomials of one cut per class once, from Walsh-Hadamard transforms,
-and each step evaluates all classes with one product (see
-decohere.negativity.critical_gamma). Each cut is rendered once, for the
-printed line, the CSV row and the middle-cut check.
+nonzero homogeneous gamma. This script prints the threshold of every cut of
+chains up to --max-n; for the 2- and 3-qubit chains it also checks them
+against the closed forms (sqrt(2)-1, and the root of g^3 + g^2 + 3g - 1 for
+the middle-qubit cut). A cut's threshold is that of its longest run of m
+crossing edges: tau_m, the smallest root in (0, 1) of one integer
+polynomial, solved once per m with exact integer arithmetic and rounded to
+the nearest double (see decohere.negativity.critical_gamma). No matrix or
+spectrum is built. Each cut is rendered once, for the printed line, the
+CSV row and the middle-cut check.
 
 Usage:
     python3 scripts/cluster_thresholds.py [--max-n 5] [--out thresholds.csv]
@@ -54,7 +52,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not 2 <= args.max_n <= MAX_QUBITS:
         parser.error(f"--max-n must be in [2, {MAX_QUBITS}]")
-    try:  # opened before any chain is bisected, so a bad path fails fast
+    try:  # opened before any chain is solved, so a bad path fails fast
         out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
     except OSError as exc:
         parser.error(f"--out: cannot write {args.out}: {exc.strerror}")

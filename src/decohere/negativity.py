@@ -5,7 +5,7 @@ has a negative eigenvalue (NPT); a necessary condition for full n-partite
 distillability is NPT across *every* cut. This module enumerates cuts,
 computes the exact PT spectrum (the oracle), evaluates the closed-form
 predictions available for the GHZ, W, and short linear-cluster families, and
-locates critical dephasing strengths by bisection.
+gives the critical dephasing strengths of cluster cuts as exact roots.
 
 A cut is its canonical bitmask (``BipartiteCut``), the qubit-set
 convention of ``linalg``: enumeration, CSV rows, the structured spectra and
@@ -30,11 +30,11 @@ with the floats of an in-place butterfly; the W PT is block diagonal with
 exactly one negative eigenvalue; the GHZ spectrum is {1/2, 1/2,
 +-prod(gamma)/2} plus zeros. The structured path evaluates all the cuts of
 a point in blocked batched kernel calls, each block summarized after one
-sort. At homogeneous gamma each cluster PT eigenvalue is an integer
-polynomial in gamma over 2^n, and cuts with the same run lengths of
-crossing edges share a spectrum, so the bisection tabulates the
-polynomials of one cut per class once and evaluates them with one product
-per step; GHZ and W have no transition to bisect (NPT for all gamma > 0).
+sort. At homogeneous gamma a cluster cut turns NPT where its longest run
+of m crossing edges does, at tau_m, the smallest root in (0, 1) of one
+integer polynomial, isolated with a Sturm sequence and rounded to the
+nearest double with exact integer signs, once per m; GHZ and W have no
+transition (NPT for all gamma > 0).
 
 Two scalar summaries of a PT spectrum are reported side by side:
 
@@ -51,6 +51,8 @@ eigenvalue; the cluster closed form predicts the negativity sum.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Union
@@ -61,7 +63,7 @@ from .channel import AggregateDephasing
 from .errors import BracketError, FormulaUnavailableError, InvalidPartitionError, InvalidSizeError
 from .linalg import DensityMatrix, _check_qubit_mask, partial_transpose
 from .states import Family, StateFamily
-from .tolerances import BISECTION_WIDTH, PSD_FLOOR
+from .tolerances import PSD_FLOOR
 
 
 @dataclass(frozen=True)
@@ -344,7 +346,10 @@ def _solve_stacked(held, dim: int):
         for i, values in zip(indices, np.linalg.eigvalsh(stack)):
             eigs[i] = values
     for (cut, _), values in zip(held, eigs):
-        yield cut, np.sort(np.concatenate([values, np.zeros(dim - values.size)]))
+        spectrum = np.zeros(dim)
+        spectrum[: values.size] = values
+        spectrum.sort()
+        yield cut, spectrum
 
 
 State = Union[DensityMatrix, tuple[StateFamily, AggregateDephasing]]
@@ -420,14 +425,19 @@ def ghz_negativity_formula(agg: AggregateDephasing) -> float:
 def w_negativity_formula(agg: AggregateDephasing, cut: BipartiteCut) -> float:
     """Most negative PT eigenvalue of a dephased W state for a given cut:
     -(1/N) * sqrt(sum of gamma^2 over P1 * sum of gamma^2 over P2)."""
-    if agg.n_qubits != cut.n_qubits:
-        raise InvalidSizeError(
-            f"aggregate covers {agg.n_qubits} qubits, cut is over {cut.n_qubits}"
-        )
+    cut = _formula_cut(agg, cut)
     g2 = agg.gamma**2
     left = sum(g2[q - 1] for q in cut._side(1))
     right = sum(g2[q - 1] for q in cut._side(0))
     return -float(np.sqrt(left * right)) / cut.n_qubits
+
+
+def _formula_cut(agg: AggregateDephasing, cut: BipartiteCut) -> BipartiteCut:
+    """``cut``, checked against the register of ``agg`` by ``_check_cuts``:
+    TypeError for a non-aggregate or a non-cut."""
+    if not isinstance(agg, AggregateDephasing):
+        raise TypeError(f"agg must be an AggregateDephasing, got {agg!r}")
+    return _check_cuts([cut], agg.n_qubits)[0]
 
 
 def _edge_negativity(g_a: float, g_b: float) -> float:
@@ -460,11 +470,7 @@ def cluster_negativity_formula(agg: AggregateDephasing, cut: BipartiteCut) -> fl
     and for 2 qubits the PT has at most one negative eigenvalue, so there
     the two readings agree.
     """
-    n = cut.n_qubits
-    if agg.n_qubits != n:
-        raise InvalidSizeError(
-            f"aggregate covers {agg.n_qubits} qubits, cut is over {n}"
-        )
+    n = _formula_cut(agg, cut).n_qubits
     g = agg.gamma
     if n <= _CLUSTER_FORMULA_QUBITS:
         # one term per crossing edge, plus the chain term on the middle cut
@@ -488,7 +494,9 @@ def closed_form(
     for GHZ and W, ``"negativity_sum"`` for the cluster chain.
 
     Raises FormulaUnavailableError when the family/size has no closed form.
+    The pair and the cut are checked as ``negativity_reports`` checks them.
     """
+    _check_cuts([cut], _n_qubits((family, agg)))
     if family.kind is Family.GHZ:
         return ghz_negativity_formula(agg), "min_eigenvalue"
     if family.kind is Family.W:
@@ -509,25 +517,6 @@ def distillability_check(state: State) -> DistillabilityVerdict:
     )
 
 
-def _cluster_signs(cuts, n: int) -> np.ndarray:
-    """The sign of each stabilizer weight of ``_cluster_weights``, one row
-    per cut of an n-qubit chain, as int8: the weights at gamma = 1, which
-    are exactly +-1, built block by block."""
-    signs = np.empty((len(cuts), 2**n), dtype=np.int8)
-    for block in _blocks(len(cuts), n):
-        rows = signs[block]
-        rows[:] = _cluster_weights(np.ones((len(rows), n)), cuts[block])[0].reshape(rows.shape)
-    return signs
-
-
-def _popcounts(n: int) -> np.ndarray:
-    """|s|, the number of set bits, for s = 0 .. 2^n - 1."""
-    counts = np.zeros(1, dtype=np.intp)
-    for _ in range(n):
-        counts = np.concatenate([counts, counts + 1])
-    return counts
-
-
 def _run_lengths(cut: BipartiteCut) -> tuple[int, ...]:
     """The class of a cluster cut at homogeneous gamma: the sorted lengths of
     its runs of crossing edges, the runs of 1 bits of ``m ^ m >> 1`` below
@@ -537,21 +526,84 @@ def _run_lengths(cut: BipartiteCut) -> tuple[int, ...]:
     return tuple(sorted(len(run) for run in f"{flips:b}".split("0") if run))
 
 
-def _cluster_polynomials(cuts, n: int) -> np.ndarray:
-    """The PT eigenvalues of each cut of an n-qubit chain as polynomials in a
-    homogeneous gamma, a (k, n+1, 2^n) array: entry [r, w, t] is 2^-n times
-    the sum over |s| = w of sign_r(s) (-1)^(s.t), the coefficient of gamma^w
-    in the eigenvalue on ket t. Each entry is an integer times 2^-n, so the
-    table is exact. Row (r, w) is the transform of the sign row of cuts[r]
-    masked to |s| = w, block by block."""
-    signs, weight = _cluster_signs(cuts, n), _popcounts(n)
-    table = np.empty((len(cuts), n + 1, 2**n))
-    rows = table.reshape(-1, 2**n)
-    for block in _blocks(len(rows), n):
-        r, w = np.divmod(np.arange(len(rows))[block], n + 1)
-        masked = np.where(weight == w[:, None], signs[r], 0.0)
-        rows[block] = _walsh_hadamard(masked.ravel(), np.empty(masked.size), n)
-    return table
+def _run_polynomial(m: int) -> list[int]:
+    """p_m(gamma) = (1, -gamma) T^m (1, 1)^T with T = [[1, -gamma], [1,
+    gamma]], as integer coefficients, highest power first: 2^(m+1) times
+    the PT eigenvalue on the all-ones graph ket of a run of m crossing
+    edges. p_1 = 1 - 2g - g^2, p_2 = 1 - 3g - g^2 - g^3, p_3 = 1 - 4g - g^4."""
+    a, b = [1] + [0] * (m + 1), [0, -1] + [0] * m  # (1, -gamma), lowest power first
+    for _ in range(m):
+        a, b = [x + y for x, y in zip(a, b)], [0] + [y - x for x, y in zip(a, b)][:-1]
+    return [x + y for x, y in zip(a, b)][::-1]
+
+
+def _sturm(p: list[int]) -> list[list[int]]:
+    """The Sturm sequence of the nonconstant integer polynomial p (highest
+    power first): p, p', then each negated remainder of the two before it,
+    down to gcd(p, p'), a nonzero constant iff p is square-free. The
+    remainders are pseudo-remainders scaled by positive integers, so every
+    sign is that of the rational sequence."""
+    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    while len(chain[-1]) > 1:
+        r, b = chain[-2], chain[-1]
+        lead, sign = abs(b[0]), 1 if b[0] > 0 else -1
+        for _ in range(len(r) - len(b) + 1):  # cancel r's leading term
+            r = [lead * x - sign * r[0] * y for x, y in zip(r, b + [0] * (len(r) - len(b)))][1:]
+        while r and r[0] == 0:
+            r = r[1:]
+        if not r:
+            break
+        content = math.gcd(*r)
+        chain.append([-x // content for x in r])
+    return chain
+
+
+def _sign_at(p: list[int], k: int, j: int) -> int:
+    """The sign of the integer polynomial p (highest power first) at the
+    dyadic k / 2^j, exactly: Horner's rule on 2^(j deg p) p(k / 2^j)."""
+    acc = 0
+    for t, c in enumerate(p):
+        acc = acc * k + (c << j * t)
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: list[list[int]], k: int, j: int) -> int:
+    """Sign changes along the Sturm sequence ``chain`` at k / 2^j, zeros
+    skipped. V(a) - V(b) counts the distinct roots of p in (a, b) when
+    neither end is a root; V falls at each root, so for a square-free p
+    it counts those in (a, b] whenever p(a) != 0."""
+    signs = [s for s in (_sign_at(p, k, j) for p in chain) if s]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+@functools.cache
+def _run_threshold(m: int) -> float:
+    """tau_m, the smallest root in (0, 1] of ``_run_polynomial(m)``, rounded
+    to the nearest double; each m is solved once per process.
+
+    Bisection on dyadics k / 2^j keeps the root in (lo, hi], counting roots
+    with the Sturm sequence while (lo, hi] holds more than one and then
+    reading the sign of p, which is positive left of the root since p(0) =
+    1. It stops once lo and hi round to one double: every point between
+    them, the root too, rounds to it, and ``int / int`` rounds correctly.
+    A rational root of p is 1/b, never halfway between two doubles, so the
+    loop ends."""
+    p = _run_polynomial(m)
+    chain = _sturm(p)
+    first, above = _variations(chain, 0, 0), _variations(chain, 1, 0)
+    if len(chain[-1]) > 1 or above == first:
+        raise ArithmeticError(f"p_{m} has a repeated root or no root in (0, 1]")
+    lo, hi, j = 0, 1, 0
+    while lo / (1 << j) != hi / (1 << j):
+        mid, lo, hi, j = lo + hi, 2 * lo, 2 * hi, j + 1
+        if above < first - 1:  # more than one root in (lo, hi]
+            v = _variations(chain, mid, j)
+            left = v == first
+            above = above if left else v
+        else:
+            left = _sign_at(p, mid, j) > 0
+        lo, hi = (mid, hi) if left else (lo, mid)
+    return lo / (1 << j)
 
 
 def critical_gamma(
@@ -560,61 +612,51 @@ def critical_gamma(
     lo: float,
     hi: float,
 ) -> list[float]:
-    """Bisect for the homogeneous gamma where each cut switches NPT <-> PPT.
+    """The homogeneous gamma where each cut switches PPT -> NPT, as the exact
+    root rounded to the nearest double.
 
     Returns one threshold per cut, in the order of ``cuts``. All qubits
-    share one gamma (no phase — phases never move eigenvalues). The
-    predicate is the NPT verdict of the structured cluster spectrum at that
-    gamma, so this works for chains too long for a closed form and no step
-    builds a matrix. Cuts of one run-length class (``_run_lengths``) share
-    their spectrum, so one representative per class is bisected: its
-    eigenvalues are exact polynomials in gamma (``_cluster_polynomials``),
-    tabulated once per call, and each step evaluates every class at its own
-    midpoint with one ``cumprod`` row of powers per class and one
-    ``matmul``. The classes halve their brackets in lockstep, each with the
-    arithmetic of a one-cut bisection. ``scripts/cluster_thresholds.py
-    --max-n 7`` bisects in about 10 ms, against 20 ms with one transform per
-    cut and step (2-core Xeon).
+    share one gamma (no phase — phases never move eigenvalues). A cut's
+    threshold is tau_M, M the longest of its runs of crossing edges
+    (``_run_lengths``), and tau_m is the smallest root in (0, 1) of the
+    integer polynomial p_m (``_run_polynomial``), found once per m with
+    exact integer arithmetic (``_run_threshold``). No spectrum is built.
 
-    Every cut must straddle the transition, or BracketError names those
-    that do not. GHZ and W raise BracketError for any bracket: their PT
+    Why tau_M: the PT spectrum of a cut is the Kronecker product of its
+    runs' spectra sigma_m and of {(1 +- gamma)/2} per lone qubit (Hein,
+    Eisert, Briegel, PRA 69, 062311 (2004)). The lone factors are positive
+    and every factor has trace 1, so the product has a negative eigenvalue
+    iff some run's spectrum has one. sigma_m is PSD on [0, tau_m] and
+    negative on the all-ones graph ket, 2^-(m+1) p_m(gamma), just above it.
+    tau_m is nonincreasing in m: measuring an end qubit of the run in Z is
+    LOCC and maps sigma_m to sigma_{m-1}, so sigma_{m-1} is PPT wherever
+    sigma_m is. So the cut turns NPT at min_i tau_(m_i) = tau_M, and the
+    trace norm, multiplicative over the factors (Vidal, Werner, PRA 65,
+    032314 (2002)), is 1 up to it. ``scripts/cluster_thresholds.py
+    --max-n 7`` spends about 3 ms here (2-core Xeon), against 10 ms for a
+    bisection of eigenvalue polynomials, whose floor sat up to 1.25e-8
+    above every root.
+
+    Every cut must switch inside [lo, hi]: a cut with tau < lo is NPT at
+    both ends and one with tau >= hi is PPT at both ends, and BracketError
+    names them. GHZ and W raise BracketError for any bracket: their PT
     minimum, -gamma^n/2 or -gamma^2 sqrt(|A||B|)/n, is negative for every
-    gamma > 0, so the only transition is at gamma = 0 and a bisection would
-    return where that minimum meets ``PSD_FLOOR``.
+    gamma > 0, so the only transition is at gamma = 0.
     """
     if not 0.0 <= lo < hi <= 1.0:
         raise BracketError(f"bracket [{lo}, {hi}] is not an ordered subinterval of [0, 1]")
-    n, cuts = family.n_qubits, _check_cuts(cuts, family.n_qubits)
+    cuts = _check_cuts(cuts, family.n_qubits)
     if family.kind is not Family.CLUSTER:
         raise BracketError(
             f"{family.kind.value} states are NPT on every cut for every gamma > 0; "
-            "no transition to bisect"
+            "no transition inside the bracket"
         )
-
-    reps = {}  # run lengths -> (class index, first cut of the class)
-    klass = np.array([reps.setdefault(_run_lengths(c), (len(reps), c))[0] for c in cuts], dtype=int)
-    table = _cluster_polynomials([rep for _, rep in reps.values()], n)
-    powers = np.empty(table.shape[:2])
-
-    def is_npt(gamma: np.ndarray) -> np.ndarray:
-        """The verdict of class c at homogeneous gamma[c], for every c."""
-        powers[:, 0] = 1.0
-        powers[:, 1:] = gamma[:, None]
-        np.cumprod(powers, axis=1, out=powers)
-        return _is_npt(np.matmul(powers[:, None], table)[:, 0].min(axis=1))
-
-    a, b = np.full(len(table), float(lo)), np.full(len(table), float(hi))
-    lo_npt = is_npt(a)
+    taus = [_run_threshold(max(_run_lengths(cut))) for cut in cuts]
     stuck = [
-        f"cut {cut.human()} is {'NPT' if npt else 'PPT'} at both ends of [{lo}, {hi}]"
-        for cut, npt, same in zip(cuts, lo_npt[klass], (lo_npt == is_npt(b))[klass])
-        if same
+        f"cut {cut.human()} is {'NPT' if tau < lo else 'PPT'} at both ends of [{lo}, {hi}]"
+        for cut, tau in zip(cuts, taus)
+        if not lo <= tau < hi
     ]
     if stuck:
-        raise BracketError("; ".join(stuck) + "; no transition to bisect")
-    while (active := b - a > BISECTION_WIDTH).any():
-        mid = 0.5 * (a + b)
-        keeps_lo = is_npt(mid) == lo_npt
-        a = np.where(active & keeps_lo, mid, a)
-        b = np.where(active & ~keeps_lo, mid, b)
-    return (0.5 * (a + b))[klass].tolist()
+        raise BracketError("; ".join(stuck) + "; no transition inside the bracket")
+    return taus

@@ -2,6 +2,8 @@
 
 Every comparison threshold the library uses is a constant here, so that the
 values are visible in a single place instead of scattered as magic numbers.
+The cluster thresholds of ``critical_gamma`` are exact roots, rounded to the
+nearest double, and need none of them.
 """
 
 # Max-norm bound on ``A - A.conj().T`` for density matrices.
@@ -14,8 +16,6 @@ TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
 # Allowed deviation of a state-vector squared norm from 1.
 NORMALIZATION_TOL = 1e-12
-# Bracket width at which the critical-strength bisection stops.
-BISECTION_WIDTH = 1e-9
 
 # Dense 2^12 x 2^12 complex128 is ~268 MB; one working copy plus the partial
 # transpose is the practical ceiling for a desktop-class machine.

@@ -1,4 +1,6 @@
 import csv
+import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,7 +38,7 @@ from decohere import (
 )
 from decohere import negativity, verify
 from decohere.negativity import _SPECTRA, _dense_spectra, closed_form
-from decohere.tolerances import BISECTION_WIDTH, PSD_FLOOR
+from decohere.tolerances import MAX_QUBITS, PSD_FLOOR
 from decohere.verify import random_density, run_suite
 
 SQRT2 = np.sqrt(2.0)
@@ -107,23 +109,84 @@ def reference_cluster_spectrum(gamma, cuts):
     return f * 2.0**-n
 
 
-def reference_critical_gamma(n, cuts, lo, hi):
-    """The thresholds by the route the sign table replaced: a lockstep
-    bisection whose every step rebuilds each cut's spectrum at its midpoint
-    with ``reference_cluster_spectrum``, in one call over all cuts."""
-    def is_npt(gamma):
-        rows = np.repeat(gamma[:, None], n, axis=1)
-        return reference_cluster_spectrum(rows, cuts).min(axis=1) < PSD_FLOOR
+def weight_signs(cuts, n):
+    """The sign of each stabilizer weight, one row per cut of an n-chain, a
+    (k, 2^n) int64 array: ``_cluster_weights`` at gamma = 1, where every
+    weight is exactly +-1."""
+    f, _ = negativity._cluster_weights(np.ones((len(cuts), n)), cuts)
+    return f.reshape(len(cuts), 2**n).astype(np.int64)
 
-    a, b = np.full(len(cuts), float(lo)), np.full(len(cuts), float(hi))
-    lo_npt = is_npt(a)
-    assert (lo_npt != is_npt(b)).all()
-    while (active := b - a > BISECTION_WIDTH).any():
-        mid = 0.5 * (a + b)
-        keeps_lo = is_npt(mid) == lo_npt
-        a = np.where(active & keeps_lo, mid, a)
-        b = np.where(active & ~keeps_lo, mid, b)
-    return (0.5 * (a + b)).tolist()
+
+def integer_polynomials(cuts, n):
+    """The PT eigenvalues of each cut of an n-chain as integer polynomials in
+    a homogeneous gamma, a (k, 2^n, n+1) int64 array: entry [r, t, w] is 2^n
+    times the coefficient of gamma^w in the eigenvalue on graph ket t, the
+    sum over |s| = w of sign_r(s) (-1)^(s.t), by an integer Walsh-Hadamard
+    butterfly (qubit 1 the top bit)."""
+    weight = np.array([bin(s).count("1") for s in range(2**n)])
+    table = np.where(weight[:, None] == np.arange(n + 1), weight_signs(cuts, n)[:, :, None], 0)
+    for q in range(n):
+        pairs = table.reshape(len(cuts), 2**q, 2, -1, n + 1)
+        a, b = pairs[:, :, 0].copy(), pairs[:, :, 1]
+        pairs[:, :, 0] += b
+        pairs[:, :, 1] = a - b
+    return table
+
+
+def highest_first(coefficients):
+    """Integer coefficients, lowest power first, as the highest-power-first
+    list of Python ints the root helpers take, leading zeros dropped."""
+    out = [int(c) for c in coefficients][::-1]
+    while out[0] == 0:
+        out = out[1:]
+    return out
+
+
+def divide_out(q, p):
+    """q / p^e for the largest e, q and p integer polynomials (highest power
+    first) and p's leading coefficient +-1, so every quotient is integral."""
+    while len(q) >= len(p):
+        rest, quotient = list(q), []
+        for _ in range(len(q) - len(p) + 1):
+            c = rest[0] // p[0]
+            quotient.append(c)
+            rest = [x - c * y for x, y in zip(rest, p + [0] * (len(rest) - len(p)))][1:]
+        if any(rest):
+            break
+        q = quotient
+    return q
+
+
+def exact_sign(p, x):
+    """The sign of the integer polynomial p (highest power first) at the
+    rational x."""
+    value = Fraction(0)
+    for c in p:
+        value = value * x + c
+    return (value > 0) - (value < 0)
+
+
+def alternating_cut(n):
+    """Qubits 1, 3, 5, ... against 2, 4, ...: every chain edge crosses."""
+    return BipartiteCut(n, sum(1 << q for q in range(0, n, 2)))
+
+
+def reference_solve_stacked(held, dim):
+    """``_solve_stacked`` by the route the one-row padding replaced: each
+    spectrum concatenated with zeros, then sorted into a new array; a list."""
+    by_size = {}
+    for index, (_, block) in enumerate(held):
+        by_size.setdefault(len(block), []).append(index)
+    eigs = [None] * len(held)
+    for indices in by_size.values():
+        blocks = [held[i][1] for i in indices]
+        stack = np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
+        for i, values in zip(indices, np.linalg.eigvalsh(stack)):
+            eigs[i] = values
+    return [
+        (cut, np.sort(np.concatenate([values, np.zeros(dim - values.size)])))
+        for (cut, _), values in zip(held, eigs)
+    ]
 
 
 def reference_report(eigs):
@@ -347,8 +410,8 @@ class TestNegativityReports:
 
     @staticmethod
     def spy_on_solvers(monkeypatch):
-        """A list that records every ``eigvalsh``, kernel and Walsh-Hadamard
-        call from here on."""
+        """A list that records every ``eigvalsh``, kernel, Walsh-Hadamard
+        and threshold-root call from here on."""
         calls = []
 
         def spy(name, function):
@@ -360,6 +423,7 @@ class TestNegativityReports:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(negativity, "_walsh_hadamard", spy("walsh", negativity._walsh_hadamard))
+        monkeypatch.setattr(negativity, "_run_threshold", spy("root", negativity._run_threshold))
         for kind, kernel in list(negativity._SPECTRA.items()):
             monkeypatch.setitem(negativity._SPECTRA, kind, spy(kind.value, kernel))
         return calls
@@ -387,7 +451,7 @@ class TestNegativityReports:
         assert "eigvalsh" in calls
         calls.clear()
         critical_gamma(family, cuts, 0.05, 0.999)
-        assert "walsh" in calls
+        assert "root" in calls
 
 
 class TestGHZFormula:
@@ -549,6 +613,44 @@ class TestClosedFormDispatch:
         assert predicts == "min_eigenvalue"
         _, predicts = closed_form(StateFamily(Family.CLUSTER, 3), agg3, cut_of(3, {1}))
         assert predicts == "negativity_sum"
+
+
+class TestClosedFormChecks:
+    """The closed forms check the aggregate and the cut as
+    ``negativity_reports`` checks a state and its cuts."""
+
+    def test_w_formula_rejects_a_non_cut(self):
+        with pytest.raises(TypeError):
+            w_negativity_formula(homog(3, 0.5), 1)
+
+    def test_cluster_formula_rejects_a_non_cut(self):
+        with pytest.raises(TypeError):
+            cluster_negativity_formula(homog(3, 0.5), 1)
+
+    def test_ghz_closed_form_rejects_a_mismatched_aggregate(self):
+        # the GHZ formula reads no cut and only the aggregate's gamma
+        with pytest.raises(InvalidSizeError):
+            closed_form(StateFamily(Family.GHZ, 3), homog(4, 0.5), 1)
+
+    @pytest.mark.parametrize("formula", [w_negativity_formula, cluster_negativity_formula])
+    def test_formulas_reject_a_wrong_size_cut_or_a_non_aggregate(self, formula):
+        with pytest.raises(InvalidPartitionError):
+            formula(homog(3, 0.5), cut_of(2, {1}))
+        with pytest.raises(TypeError):
+            formula(StateFamily(Family.W, 3), cut_of(3, {1}))
+
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_closed_form_rejects_what_the_oracle_rejects(self, kind):
+        family, agg = StateFamily(kind, 3), homog(3, 0.5)
+        with pytest.raises(TypeError):
+            closed_form(family, agg, 1)
+        with pytest.raises(InvalidPartitionError):
+            closed_form(family, agg, cut_of(2, {1}))
+        with pytest.raises(InvalidSizeError):
+            closed_form(family, homog(2, 0.5), cut_of(3, {1}))
+        for bad in (1, cut_of(2, {1})):
+            with pytest.raises((TypeError, InvalidPartitionError)):
+                negativity_reports((family, agg), [bad])
 
 
 class TestDistillability:
@@ -867,13 +969,53 @@ class TestDenseSupport:
             assert len(calls) == 1
 
 
+class TestSolveStacked:
+    """``_solve_stacked`` pads each spectrum by writing it into a zeroed row
+    sorted in place: the bytes of the concatenate-and-sort route."""
+
+    @staticmethod
+    def assert_reference(got, held, dim):
+        want = reference_solve_stacked(held, dim)
+        assert [cut for cut, _ in got] == [cut for cut, _ in want]
+        for (cut, a), (_, b) in zip(got, want):
+            assert a.tobytes() == b.tobytes(), cut.human()
+
+    @pytest.mark.parametrize("kind", [*Family, "random"])
+    def test_every_round_of_a_dense_state(self, kind, monkeypatch):
+        n, rng = 6, np.random.default_rng([6, 21, 0 if kind == "random" else list(Family).index(kind) + 1])
+        if kind == "random":
+            rho = random_density(rng, n)
+        else:
+            agg = AggregateDephasing(rng.uniform(0.05, 0.95, n), rng.uniform(0, 2 * np.pi, n))
+            rho = apply_dephasing(to_density(make_state(StateFamily(kind, n))), agg)
+        solve, rounds = negativity._solve_stacked, []
+
+        def spy(held, dim):
+            got = list(solve(held, dim))
+            self.assert_reference(got, held, dim)
+            rounds.append(len(held))
+            yield from got
+
+        monkeypatch.setattr(negativity, "_solve_stacked", spy)
+        assert len(negativity_reports(rho, enumerate_cuts(n))) == sum(rounds) == 31
+
+    def test_random_blocks_of_mixed_sizes(self):
+        rng = np.random.default_rng(21)
+        held = []
+        for size in [1, 3, 3, 8, 5, 8, 16, 1, 4]:
+            a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            held.append((cut_of(5, {1}), a + a.conj().T))
+        held.append((cut_of(5, {1, 2}), np.zeros((4, 4), dtype=complex)))
+        held.append((cut_of(5, {2}), -np.eye(2, dtype=complex)))
+        self.assert_reference(list(negativity._solve_stacked(held, 32)), held, 32)
+
+
 class TestHomogeneousNPT:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("kind", list(Family))
     def test_matches_oracle_verdict(self, kind, n):
-        # critical_gamma's predicate, the structured verdict at a homogeneous
-        # phase-free gamma, against dephasing plus the dense oracle: every
-        # cut, gamma = 0 through 1
+        # the structured verdict at a homogeneous phase-free gamma, against
+        # dephasing plus the dense oracle: every cut, gamma = 0 through 1
         family = StateFamily(kind, n)
         base = to_density(make_state(family))
         for cut in enumerate_cuts(n):
@@ -1043,31 +1185,22 @@ class TestCriticalGamma:
         assert "cut 1,3|2 is NPT at both ends" in message
         assert "1|2,3" not in message and "1,2|3" not in message
 
-    def test_kernel_calls_stay_within_the_block_bound(self, monkeypatch):
-        n, values, tables = 10, [], []
-        transform, build = negativity._walsh_hadamard, negativity._cluster_signs
+    def test_builds_no_spectrum_and_solves_each_run_once(self, monkeypatch):
+        # all 2,047 cuts of a 12-qubit chain: no kernel runs, and each
+        # longest run m = 1..11 is solved once per process
+        def refuse(*args):
+            raise AssertionError("critical_gamma built a spectrum")
 
-        def spy(f, spare, n_qubits):
-            assert n_qubits == n and spare.size == f.size
-            values.append(f.size)
-            return transform(f, spare, n_qubits)
-
-        def count(cuts, n_qubits):
-            tables.append([negativity._run_lengths(cut) for cut in cuts])
-            return build(cuts, n_qubits)
-
-        monkeypatch.setattr(negativity, "_walsh_hadamard", spy)
-        monkeypatch.setattr(negativity, "_cluster_signs", count)
-        cuts = enumerate_cuts(n)
-        assert len(cuts) == 511
-        got = critical_gamma(StateFamily(Family.CLUSTER, n), cuts, 0.05, 0.999)
-        assert len(got) == 511
-        assert max(values) <= negativity._BLOCK_VALUES
-        # the table is built once per call, from one representative cut per
-        # run-length class: one transformed row per class and power of gamma
-        [classes] = tables
-        assert len(classes) == len(set(classes)) == 41
-        assert sum(values) == 41 * (n + 1) * 2**n
+        for name in ("_cluster_weights", "_walsh_hadamard", "_cluster_spectrum"):
+            monkeypatch.setattr(negativity, name, refuse)
+        negativity._run_threshold.cache_clear()
+        cuts = enumerate_cuts(MAX_QUBITS)
+        family = StateFamily(Family.CLUSTER, MAX_QUBITS)
+        got = critical_gamma(family, cuts, 0.05, 0.999)
+        assert len(got) == len(cuts) == 2047
+        assert negativity._run_threshold.cache_info().misses == MAX_QUBITS - 1
+        assert critical_gamma(family, cuts[::-1], 0.05, 0.999) == got[::-1]
+        assert negativity._run_threshold.cache_info().misses == MAX_QUBITS - 1
 
     def test_no_cuts_give_no_thresholds(self):
         assert critical_gamma(StateFamily(Family.CLUSTER, 5), [], 0.05, 0.999) == []
@@ -1081,22 +1214,11 @@ class TestCriticalGamma:
         assert got[0] == got[2] == got[3] != got[1] == got[4]
 
     @pytest.mark.parametrize("n", range(2, 11))
-    @pytest.mark.parametrize("lo, hi", [(0.05, 0.999), (0.18, 0.42)])
-    def test_thresholds_equal_the_per_step_rebuild(self, n, lo, hi):
-        # every cut's threshold is the float of a bisection that rebuilds
-        # the spectrum from gamma at every step
-        cuts = enumerate_cuts(n)
-        got = critical_gamma(StateFamily(Family.CLUSTER, n), cuts, lo, hi)
-        want = reference_critical_gamma(n, cuts, lo, hi)
-        assert list(map(repr, got)) == list(map(repr, want))
-
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_sign_table_from_the_masks(self, n):
+    def test_weight_signs_from_the_masks(self, n):
         # sign (-1)^|s & s >> 1 & crossing| per cut, the crossing edge
         # (i, i+1) as bit n-1-i of s, where qubit 1 is the top bit
         cuts = enumerate_cuts(n)
-        signs = negativity._cluster_signs(cuts, n)
-        assert signs.dtype == np.int8 and signs.shape == (len(cuts), 2**n)
+        signs = weight_signs(cuts, n)
         s = np.arange(2**n)
         for cut, row in zip(cuts, signs):
             members = cut._side(1)
@@ -1147,21 +1269,17 @@ class TestCriticalGamma:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_polynomial_table_against_the_reference(self, n):
         cuts = enumerate_cuts(n)
-        table = negativity._cluster_polynomials(cuts, n)
-        assert table.shape == (len(cuts), n + 1, 2**n)
-        # every coefficient is an integer times 2^-n
-        scaled = table * 2**n
-        assert np.array_equal(scaled, np.round(scaled))
+        table = integer_polynomials(cuts, n)
         # evaluated at random homogeneous gamma, the spectrum of every cut
         gamma = np.random.default_rng([n, 18]).uniform(0, 1, len(cuts))
         powers = gamma[:, None] ** np.arange(n + 1)
-        got = np.sort(np.matmul(powers[:, None], table)[:, 0], axis=1)
+        got = np.sort(np.einsum("rtw,rw->rt", table * 2.0**-n, powers), axis=1)
         want = np.sort(reference_cluster_spectrum(np.repeat(gamma[:, None], n, axis=1), cuts), axis=1)
         assert np.abs(got - want).max() <= 1e-15
         # the cuts of one run-length class have the same polynomials, up to
         # the order of the kets
         first = {}
-        for cut, rows in zip(cuts, scaled.astype(np.int64).transpose(0, 2, 1)):
+        for cut, rows in zip(cuts, table):
             rows = rows[np.lexsort(rows.T)]
             same = first.setdefault(negativity._run_lengths(cut), rows)
             assert np.array_equal(rows, same), cut.human()
@@ -1191,3 +1309,108 @@ class TestCriticalGamma:
             critical_gamma(
                 StateFamily(Family.CLUSTER, 3), [cut_of(3, {1}), cut_of(2, {1})], 0.1, 0.9
             )
+
+
+class TestExactThresholds:
+    """A cut's threshold is tau_M of its longest run M, the smallest root in
+    (0, 1) of the integer polynomial p_M, rounded to the nearest double."""
+
+    # relative offset of gamma either side of a threshold. Above it the
+    # minimum PT eigenvalue must sit 100 |PSD_FLOOR| below PSD_FLOOR. Below
+    # it the exact minimum is >= 0 (no ket is negative there), but it is
+    # the product of one small factor per longest run, O(OFFSET^k) for k
+    # such runs, so no small offset clears 100 |PSD_FLOOR| above the floor
+    # on every cut; the computed minimum must be above PSD_FLOOR / 100.
+    OFFSET = 1e-4
+
+    def test_run_polynomials(self):
+        assert negativity._run_polynomial(1) == [-1, -2, 1]
+        assert negativity._run_polynomial(2) == [-1, -1, -3, 1]
+        assert negativity._run_polynomial(3) == [-1, 0, 0, -4, 1]
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [Fraction(1, 2)],
+            [Fraction(1, 4), Fraction(3, 8), Fraction(5, 8)],
+            [Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(-1)],
+            [Fraction(1, 5), Fraction(7, 3), Fraction(7, 3), Fraction(7, 3)],
+        ],
+    )
+    def test_sturm_counts_the_distinct_roots_between_two_points(self, roots):
+        p = [1]
+        for r in roots:  # times (den x - num)
+            p = [a * r.denominator - b * r.numerator for a, b in zip(p + [0], [0] + p)]
+        chain = negativity._sturm(p)
+        assert (len(chain[-1]) == 1) == (len(set(roots)) == len(roots))
+        points = [k for k in range(-17, 40) if Fraction(k, 16) not in roots]
+        for a in points:
+            for b in points:
+                if a < b:
+                    want = len({r for r in roots if Fraction(a, 16) < r < Fraction(b, 16)})
+                    got = negativity._variations(chain, a, 4) - negativity._variations(chain, b, 4)
+                    assert got == want, (a, b)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_no_ket_goes_negative_below_the_run_threshold(self, m):
+        # the alternating cut of an (m+1)-chain is one run of m crossing
+        # edges. Its all-ones ket is p_m; every ket is p_m^e times an h with
+        # no root in (0, hi), hi the double above tau_m, so none is negative
+        # on (0, tau_m). Integer arithmetic throughout.
+        n = m + 1
+        cut = alternating_cut(n)
+        assert negativity._run_lengths(cut) == (m,)
+        [table] = integer_polynomials([cut], n)
+        p = negativity._run_polynomial(m)
+        assert highest_first(table[-1]) == p
+        k, den = math.nextafter(negativity._run_threshold(m), 1.0).as_integer_ratio()
+        j = den.bit_length() - 1
+        for row in {tuple(row) for row in table.tolist()}:
+            q = highest_first(row)
+            assert q[-1] == 1  # each eigenvalue is 2^-n at gamma = 0
+            h = divide_out(q, p)
+            if len(h) > 1:
+                assert negativity._sign_at(h, k, j) != 0
+                chain = negativity._sturm(h)
+                assert negativity._variations(chain, 0, 0) == negativity._variations(chain, k, j), q
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_verdicts_either_side_of_each_threshold(self, n):
+        # the Walsh kernel for every n, the dense oracle too for n <= 8
+        family, cuts = StateFamily(Family.CLUSTER, n), enumerate_cuts(n)
+        by_tau = {}
+        for cut, tau in zip(cuts, critical_gamma(family, cuts, 0.05, 0.999)):
+            by_tau.setdefault(tau, []).append(cut)
+        for tau, group in by_tau.items():
+            for gamma, npt in ((tau * (1 - self.OFFSET), False), (tau * (1 + self.OFFSET), True)):
+                agg = homog(n, gamma)
+                reports = negativity_reports((family, agg), group)
+                minima = np.array([r.min_eigenvalue for r in reports])
+                if npt:
+                    assert (minima <= 101 * PSD_FLOOR).all(), tau
+                else:
+                    assert (minima >= PSD_FLOOR / 100).all(), tau
+                assert [r.npt for r in reports] == [npt] * len(group), (tau, npt)
+                if n <= 8:
+                    rho = apply_dephasing(to_density(make_cluster(n)), agg)
+                    dense = negativity_reports(rho, group)
+                    assert [r.npt for r in dense] == [npt] * len(group), (tau, npt)
+
+    @pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
+    def test_each_threshold_is_the_correctly_rounded_root(self, n):
+        # p_M changes sign between the half-ulp neighbours of the returned
+        # double, so the root lies strictly between them
+        cuts = enumerate_cuts(n)
+        got = critical_gamma(StateFamily(Family.CLUSTER, n), cuts, 0.05, 0.999)
+        by_run = {}
+        for cut, tau in zip(cuts, got):
+            by_run.setdefault(max(negativity._run_lengths(cut)), set()).add(tau)
+        assert sorted(by_run) == list(range(1, n))
+        for m, taus in by_run.items():
+            [tau] = taus
+            p, x = negativity._run_polynomial(m), Fraction(tau)
+            below = (x + Fraction(math.nextafter(tau, 0.0))) / 2
+            above = (x + Fraction(math.nextafter(tau, 1.0))) / 2
+            assert (exact_sign(p, below), exact_sign(p, above)) == (1, -1), m
+        if n == 2:
+            assert got == [0.41421356237309503]  # sqrt(2) - 1, to 17 digits

@@ -36,7 +36,7 @@ def test_cluster_thresholds_rows(tmp_path):
 
 @pytest.mark.parametrize("name", ["ghz_decay_sweep.py", "cluster_thresholds.py"])
 def test_max_n_past_dense_capacity_is_a_usage_error(name):
-    # rejected up front, before any chain is bisected
+    # rejected up front, before any chain is solved
     proc = run_script(name, "--max-n", "13", timeout=30)
     assert proc.returncode == 2
     assert "--max-n" in proc.stderr
@@ -45,10 +45,9 @@ def test_max_n_past_dense_capacity_is_a_usage_error(name):
 
 @pytest.mark.parametrize("max_n", [6, 8])
 def test_cluster_thresholds_match_golden(tmp_path, max_n):
-    # stdout and --out CSV, byte for byte: n = 6 was generated with the
-    # eigensolver bisection predicate, n = 8 with the one-cut structured
-    # predicate. Each threshold is the last midpoint of its bisection, so a
-    # reordered floating-point sum in the spectrum moves digits here.
+    # stdout and --out CSV, byte for byte: every threshold is the exact
+    # root tau_m of its cut's longest run, rounded to the nearest double,
+    # so any change to a printed digit is a change of root or rounding
     name = f"thresholds_n{max_n}"
     proc = run_script(
         "cluster_thresholds.py", "--max-n", str(max_n), "--out", f"{name}.csv", cwd=tmp_path
