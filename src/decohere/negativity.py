@@ -31,10 +31,8 @@ exactly one negative eigenvalue; the GHZ spectrum is {1/2, 1/2,
 +-prod(gamma)/2} plus zeros. The structured path evaluates all the cuts of
 a point in blocked batched kernel calls, each block summarized after one
 sort. At homogeneous gamma a cluster cut turns NPT where its longest run
-of m crossing edges does, at tau_m, the smallest root in (0, 1) of one
-integer polynomial, isolated with a Sturm sequence and rounded to the
-nearest double with exact integer signs, once per m; GHZ and W have no
-transition (NPT for all gamma > 0).
+of m crossing edges does, at the exact smallest root in (0, 1) of one
+integer polynomial; GHZ and W have no transition (NPT for all gamma > 0).
 
 Two scalar summaries of a PT spectrum are reported side by side:
 
@@ -122,14 +120,8 @@ class NegativityReport:
 
     @property
     def npt(self) -> bool:
-        """The cut's verdict (``_is_npt``)."""
-        return _is_npt(self.min_eigenvalue)
-
-
-def _is_npt(min_eigenvalue):
-    """NPT iff the minimum PT eigenvalue is below ``PSD_FLOOR``; elementwise
-    on an array of minima."""
-    return min_eigenvalue < PSD_FLOOR
+        """NPT iff the minimum PT eigenvalue is below ``PSD_FLOOR``."""
+        return self.min_eigenvalue < PSD_FLOOR
 
 
 @dataclass(frozen=True)
@@ -425,19 +417,11 @@ def ghz_negativity_formula(agg: AggregateDephasing) -> float:
 def w_negativity_formula(agg: AggregateDephasing, cut: BipartiteCut) -> float:
     """Most negative PT eigenvalue of a dephased W state for a given cut:
     -(1/N) * sqrt(sum of gamma^2 over P1 * sum of gamma^2 over P2)."""
-    cut = _formula_cut(agg, cut)
+    [cut] = _check_cuts([cut], agg.n_qubits)
     g2 = agg.gamma**2
     left = sum(g2[q - 1] for q in cut._side(1))
     right = sum(g2[q - 1] for q in cut._side(0))
     return -float(np.sqrt(left * right)) / cut.n_qubits
-
-
-def _formula_cut(agg: AggregateDephasing, cut: BipartiteCut) -> BipartiteCut:
-    """``cut``, checked against the register of ``agg`` by ``_check_cuts``:
-    TypeError for a non-aggregate or a non-cut."""
-    if not isinstance(agg, AggregateDephasing):
-        raise TypeError(f"agg must be an AggregateDephasing, got {agg!r}")
-    return _check_cuts([cut], agg.n_qubits)[0]
 
 
 def _edge_negativity(g_a: float, g_b: float) -> float:
@@ -470,7 +454,7 @@ def cluster_negativity_formula(agg: AggregateDephasing, cut: BipartiteCut) -> fl
     and for 2 qubits the PT has at most one negative eigenvalue, so there
     the two readings agree.
     """
-    n = _formula_cut(agg, cut).n_qubits
+    n = _check_cuts([cut], agg.n_qubits)[0].n_qubits
     g = agg.gamma
     if n <= _CLUSTER_FORMULA_QUBITS:
         # one term per crossing edge, plus the chain term on the middle cut
@@ -527,10 +511,10 @@ def _run_lengths(cut: BipartiteCut) -> tuple[int, ...]:
 
 
 def _run_polynomial(m: int) -> list[int]:
-    """p_m(gamma) = (1, -gamma) T^m (1, 1)^T with T = [[1, -gamma], [1,
-    gamma]], as integer coefficients, highest power first: 2^(m+1) times
-    the PT eigenvalue on the all-ones graph ket of a run of m crossing
-    edges. p_1 = 1 - 2g - g^2, p_2 = 1 - 3g - g^2 - g^3, p_3 = 1 - 4g - g^4."""
+    """p_m(gamma) = (1, -gamma) T^m (1, 1)^T, T = [[1, -gamma], [1, gamma]],
+    as integers, highest power first: 2^(m+1) times the PT eigenvalue on the
+    all-ones graph ket of a run of m crossing edges. p_1 = 1 - 2g - g^2,
+    p_2 = 1 - 3g - g^2 - g^3, p_3 = 1 - 4g - g^4."""
     a, b = [1] + [0] * (m + 1), [0, -1] + [0] * m  # (1, -gamma), lowest power first
     for _ in range(m):
         a, b = [x + y for x, y in zip(a, b)], [0] + [y - x for x, y in zip(a, b)][:-1]
@@ -540,9 +524,8 @@ def _run_polynomial(m: int) -> list[int]:
 def _sturm(p: list[int]) -> list[list[int]]:
     """The Sturm sequence of the nonconstant integer polynomial p (highest
     power first): p, p', then each negated remainder of the two before it,
-    down to gcd(p, p'), a nonzero constant iff p is square-free. The
-    remainders are pseudo-remainders scaled by positive integers, so every
-    sign is that of the rational sequence."""
+    down to gcd(p, p'), a constant iff p is square-free. Pseudo-remainders
+    scaled by positive integers keep every sign of the rational sequence."""
     chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
     while len(chain[-1]) > 1:
         r, b = chain[-2], chain[-1]
@@ -553,56 +536,46 @@ def _sturm(p: list[int]) -> list[list[int]]:
             r = r[1:]
         if not r:
             break
-        content = math.gcd(*r)
-        chain.append([-x // content for x in r])
+        chain.append([-x // math.gcd(*r) for x in r])
     return chain
 
 
-def _sign_at(p: list[int], k: int, j: int) -> int:
-    """The sign of the integer polynomial p (highest power first) at the
-    dyadic k / 2^j, exactly: Horner's rule on 2^(j deg p) p(k / 2^j)."""
-    acc = 0
-    for t, c in enumerate(p):
-        acc = acc * k + (c << j * t)
-    return (acc > 0) - (acc < 0)
-
-
 def _variations(chain: list[list[int]], k: int, j: int) -> int:
-    """Sign changes along the Sturm sequence ``chain`` at k / 2^j, zeros
-    skipped. V(a) - V(b) counts the distinct roots of p in (a, b) when
-    neither end is a root; V falls at each root, so for a square-free p
-    it counts those in (a, b] whenever p(a) != 0."""
-    signs = [s for s in (_sign_at(p, k, j) for p in chain) if s]
+    """V, the sign changes along the integer polynomials ``chain`` at k /
+    2^j, zeros skipped, each sign exact by Horner's rule on 2^(j deg p) p(k
+    / 2^j). On a Sturm sequence V(a) - V(b) counts the distinct roots in (a,
+    b) if neither end is a root, or in (a, b] if p(a) != 0 and p is square-free."""
+    signs = []
+    for p in chain:
+        acc = 0
+        for t, c in enumerate(p):
+            acc = acc * k + (c << j * t)
+        if acc:
+            signs.append(acc > 0)
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 @functools.cache
 def _run_threshold(m: int) -> float:
-    """tau_m, the smallest root in (0, 1] of ``_run_polynomial(m)``, rounded
-    to the nearest double; each m is solved once per process.
-
-    Bisection on dyadics k / 2^j keeps the root in (lo, hi], counting roots
-    with the Sturm sequence while (lo, hi] holds more than one and then
-    reading the sign of p, which is positive left of the root since p(0) =
-    1. It stops once lo and hi round to one double: every point between
-    them, the root too, rounds to it, and ``int / int`` rounds correctly.
-    A rational root of p is 1/b, never halfway between two doubles, so the
-    loop ends."""
+    """tau_m, the smallest root in (0, 1) of p = ``_run_polynomial(m)``,
+    rounded to the nearest double; once per m and process. A bisection on
+    dyadics keeps it in (lo, hi], counting roots in (0, x] as V(0) - V(x) on
+    the Sturm sequence, or on (p, -1) once (lo, hi] holds one root, as p(0)
+    = 1. It stops when lo and hi round to one double, as the root between
+    them then does (``int / int`` rounds correctly; a rational root of p is
+    1/b, never halfway between two doubles)."""
     p = _run_polynomial(m)
     chain = _sturm(p)
+    if len(chain[-1]) > 1:
+        raise ArithmeticError(f"p_{m} has a repeated root")
     first, above = _variations(chain, 0, 0), _variations(chain, 1, 0)
-    if len(chain[-1]) > 1 or above == first:
-        raise ArithmeticError(f"p_{m} has a repeated root or no root in (0, 1]")
     lo, hi, j = 0, 1, 0
     while lo / (1 << j) != hi / (1 << j):
+        if first - above == 1:
+            chain, first, above = [p, [-1]], 1, 0
         mid, lo, hi, j = lo + hi, 2 * lo, 2 * hi, j + 1
-        if above < first - 1:  # more than one root in (lo, hi]
-            v = _variations(chain, mid, j)
-            left = v == first
-            above = above if left else v
-        else:
-            left = _sign_at(p, mid, j) > 0
-        lo, hi = (mid, hi) if left else (lo, mid)
+        v = _variations(chain, mid, j)
+        lo, hi, above = (mid, hi, above) if v == first else (lo, mid, v)
     return lo / (1 << j)
 
 
@@ -612,45 +585,31 @@ def critical_gamma(
     lo: float,
     hi: float,
 ) -> list[float]:
-    """The homogeneous gamma where each cut switches PPT -> NPT, as the exact
-    root rounded to the nearest double.
+    """The homogeneous gamma where each cut turns from PPT to NPT, one per
+    cut in the order of ``cuts``: tau_M (``_run_threshold``), M the longest
+    run of crossing edges of the cut (``_run_lengths``). No spectrum is built.
 
-    Returns one threshold per cut, in the order of ``cuts``. All qubits
-    share one gamma (no phase — phases never move eigenvalues). A cut's
-    threshold is tau_M, M the longest of its runs of crossing edges
-    (``_run_lengths``), and tau_m is the smallest root in (0, 1) of the
-    integer polynomial p_m (``_run_polynomial``), found once per m with
-    exact integer arithmetic (``_run_threshold``). No spectrum is built.
+    All qubits share one gamma; phases never move eigenvalues. The PT
+    spectrum is the Kronecker product of the runs' spectra sigma_m and of
+    {(1 +- gamma)/2} per lone qubit (Hein, Eisert, Briegel, PRA 69, 062311
+    (2004)). Those are positive and every factor has trace 1, so the cut is
+    NPT iff some sigma_m is (the trace norm is multiplicative: Vidal,
+    Werner, PRA 65, 032314 (2002)). sigma_m is PSD up to tau_m and negative
+    just above it on the all-ones graph ket, 2^-(m+1) p_m(gamma). tau_m is
+    nonincreasing in m: measuring an end qubit in Z is LOCC and maps
+    sigma_m to sigma_{m-1}, which is thus PPT wherever sigma_m is. So the
+    cut turns NPT at tau_M.
 
-    Why tau_M: the PT spectrum of a cut is the Kronecker product of its
-    runs' spectra sigma_m and of {(1 +- gamma)/2} per lone qubit (Hein,
-    Eisert, Briegel, PRA 69, 062311 (2004)). The lone factors are positive
-    and every factor has trace 1, so the product has a negative eigenvalue
-    iff some run's spectrum has one. sigma_m is PSD on [0, tau_m] and
-    negative on the all-ones graph ket, 2^-(m+1) p_m(gamma), just above it.
-    tau_m is nonincreasing in m: measuring an end qubit of the run in Z is
-    LOCC and maps sigma_m to sigma_{m-1}, so sigma_{m-1} is PPT wherever
-    sigma_m is. So the cut turns NPT at min_i tau_(m_i) = tau_M, and the
-    trace norm, multiplicative over the factors (Vidal, Werner, PRA 65,
-    032314 (2002)), is 1 up to it. ``scripts/cluster_thresholds.py
-    --max-n 7`` spends about 3 ms here (2-core Xeon), against 10 ms for a
-    bisection of eigenvalue polynomials, whose floor sat up to 1.25e-8
-    above every root.
-
-    Every cut must switch inside [lo, hi]: a cut with tau < lo is NPT at
-    both ends and one with tau >= hi is PPT at both ends, and BracketError
-    names them. GHZ and W raise BracketError for any bracket: their PT
-    minimum, -gamma^n/2 or -gamma^2 sqrt(|A||B|)/n, is negative for every
-    gamma > 0, so the only transition is at gamma = 0.
+    BracketError names each cut with tau < lo (NPT at both ends of [lo,
+    hi]) or tau >= hi (PPT at both ends). GHZ and W raise it for any
+    bracket: their PT minimum, -gamma^n/2 or -gamma^2 sqrt(|A||B|)/n, is
+    negative for every gamma > 0.
     """
     if not 0.0 <= lo < hi <= 1.0:
         raise BracketError(f"bracket [{lo}, {hi}] is not an ordered subinterval of [0, 1]")
     cuts = _check_cuts(cuts, family.n_qubits)
     if family.kind is not Family.CLUSTER:
-        raise BracketError(
-            f"{family.kind.value} states are NPT on every cut for every gamma > 0; "
-            "no transition inside the bracket"
-        )
+        raise BracketError(f"{family.kind.value} states are NPT on every cut for every gamma > 0")
     taus = [_run_threshold(max(_run_lengths(cut))) for cut in cuts]
     stuck = [
         f"cut {cut.human()} is {'NPT' if tau < lo else 'PPT'} at both ends of [{lo}, {hi}]"

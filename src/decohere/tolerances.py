@@ -2,8 +2,6 @@
 
 Every comparison threshold the library uses is a constant here, so that the
 values are visible in a single place instead of scattered as magic numbers.
-The cluster thresholds of ``critical_gamma`` are exact roots, rounded to the
-nearest double, and need none of them.
 """
 
 # Max-norm bound on ``A - A.conj().T`` for density matrices.
