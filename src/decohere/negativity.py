@@ -541,10 +541,10 @@ def _sturm(p: list[int]) -> list[list[int]]:
 
 
 def _variations(chain: list[list[int]], k: int, j: int) -> int:
-    """V, the sign changes along the integer polynomials ``chain`` at k /
-    2^j, zeros skipped, each sign exact by Horner's rule on 2^(j deg p) p(k
-    / 2^j). On a Sturm sequence V(a) - V(b) counts the distinct roots in (a,
-    b) if neither end is a root, or in (a, b] if p(a) != 0 and p is square-free."""
+    """V, the sign changes along the integer polynomials ``chain`` at k / 2^j,
+    zeros skipped, each sign exact by Horner's rule on 2^(j deg p) p(k / 2^j).
+    On a Sturm sequence V(a) - V(b) counts the distinct roots in (a, b) if
+    neither end is one, or in (a, b] if p(a) != 0 and p is square-free."""
     signs = []
     for p in chain:
         acc = 0

@@ -980,7 +980,8 @@ class TestSolveStacked:
 
     @pytest.mark.parametrize("kind", [*Family, "random"])
     def test_every_round_of_a_dense_state(self, kind, monkeypatch):
-        n, rng = 6, np.random.default_rng([6, 21, 0 if kind == "random" else list(Family).index(kind) + 1])
+        stream = 0 if kind == "random" else list(Family).index(kind) + 1
+        n, rng = 6, np.random.default_rng([6, 21, stream])
         if kind == "random":
             rho = random_density(rng, n)
         else:
