@@ -2,9 +2,10 @@
 
 Unlike GHZ and W states, cluster chains become PPT across individual cuts at
 nonzero homogeneous gamma. This script prints the threshold of every cut of
-chains up to --max-n; for the 2- and 3-qubit chains it also checks them
-against the closed forms (sqrt(2)-1, and the root of g^3 + g^2 + 3g - 1 for
-the middle-qubit cut). A cut's threshold is that of its longest run of m
+chains up to --max-n; for the 2- and 3-qubit chains it also checks, with
+exact signs, that they are the correctly rounded roots of the closed forms
+(sqrt(2)-1, the root of 1 - 2g - g^2, and the root of g^3 + g^2 + 3g - 1
+for the middle-qubit cut). A cut's threshold is that of its longest run of m
 crossing edges: tau_m, the smallest root in (0, 1) of one integer
 polynomial, solved once per m with exact integer arithmetic and rounded to
 the nearest double (see decohere.negativity.critical_gamma). No matrix or
@@ -21,28 +22,30 @@ import sys
 
 import numpy as np
 
-from decohere import (
-    MAX_QUBITS,
-    BracketError,
-    Family,
-    StateFamily,
-    critical_gamma,
-    enumerate_cuts,
-)
-
-PAIR_THRESHOLD = np.sqrt(2.0) - 1.0
+from decohere import MAX_QUBITS, Family, StateFamily, critical_gamma, enumerate_cuts
 
 
 def chain_thresholds(n):
     """(bitmask, rendered cut, critical gamma) for every cut of the n-chain."""
     cuts = enumerate_cuts(n)
-    try:
-        gammas = critical_gamma(StateFamily(Family.CLUSTER, n), cuts, 0.05, 0.999)
-    except BracketError as exc:
-        # some cut has no transition inside the bracket; report and move on
-        print(f"  n={n}: {exc}", file=sys.stderr)
-        return []
+    gammas = critical_gamma(StateFamily(Family.CLUSTER, n), cuts)
     return [(cut.cli_bitmask, cut.human(), gamma) for cut, gamma in zip(cuts, gammas)]
+
+
+def rounding(coeffs, g):
+    """Whether the double g is a correctly rounded root of the integer
+    polynomial ``coeffs`` (highest power first): whether p has opposite
+    signs at the two half-ulp neighbours of g. Exact: each neighbour is
+    num / den in Python ints, and den^deg p(num / den) has the sign of p."""
+    a, b = g.as_integer_ratio()
+    values = []
+    for side in (0.0, 1.0):
+        c, d = float(np.nextafter(g, side)).as_integer_ratio()
+        num, den, acc = a * d + b * c, 2 * b * d, 0
+        for power, coeff in enumerate(coeffs):
+            acc = acc * num + coeff * den**power
+        values.append(acc)
+    return "correctly rounded" if values[0] * values[1] < 0 else "NOT correctly rounded"
 
 
 def main(argv=None):
@@ -61,8 +64,6 @@ def main(argv=None):
     for n in range(2, args.max_n + 1):
         print(f"chain of {n} qubits:")
         thresholds = chain_thresholds(n)
-        if not thresholds:
-            continue
         for mask, human, gamma in thresholds:
             print(f"  cut {human:>12}  critical gamma = {gamma:.9f}")
             rows.append((n, mask, human, gamma))
@@ -71,12 +72,12 @@ def main(argv=None):
               f"all NPT above {last:.9f}")
 
         if n == 2:
-            gap = abs(thresholds[0][2] - PAIR_THRESHOLD)
-            print(f"  closed form sqrt(2)-1: off by {gap:.2e}")
+            exact = rounding([-1, -2, 1], thresholds[0][2])
+            print(f"  closed form sqrt(2)-1, root of 1 - 2g - g^2: {exact}")
         if n == 3:
             middle = next(g for _, h, g in thresholds if h == "1,3|2")
-            residual = middle**3 + middle**2 + 3 * middle - 1.0
-            print(f"  middle-qubit cut cubic residual: {residual:.2e}")
+            exact = rounding([1, 1, 3, -1], middle)
+            print(f"  middle-qubit cut, root of g^3 + g^2 + 3g - 1: {exact}")
 
     if out:
         with out as fh:

@@ -20,7 +20,6 @@ from .channel import (
     schedule_aggregate,
 )
 from .errors import (
-    BracketError,
     CapacityError,
     ConfigError,
     DecohereError,

@@ -30,10 +30,11 @@ from .linalg import DensityMatrix, _qubit_view, kron, norm_check, partial_trace
 TWO_PI = 2.0 * np.pi
 
 
-def _mod_2pi(x: float) -> float:
-    out = float(x) % TWO_PI
-    # The % of a tiny negative number can land exactly on 2*pi.
-    return 0.0 if out >= TWO_PI else out
+def _mod_2pi(x):
+    """x mod 2*pi in [0, 2*pi), elementwise: the % of a tiny negative number
+    can land exactly on 2*pi, which wraps to 0."""
+    out = np.remainder(x, TWO_PI)
+    return np.where(out == TWO_PI, 0.0, out)
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class CollisionParams:
     def __post_init__(self):
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError(f"collision strength must be in [0, 1], got {self.strength}")
-        object.__setattr__(self, "phase", _mod_2pi(self.phase))
+        object.__setattr__(self, "phase", float(_mod_2pi(self.phase)))
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class AggregateDephasing:
         if not np.isfinite(phase).all():
             raise ValueError("phase values must be finite")
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "phase", phase % TWO_PI)
+        object.__setattr__(self, "phase", _mod_2pi(phase))
 
     @property
     def n_qubits(self) -> int:
@@ -126,7 +127,7 @@ def schedule_aggregate(sched: CollisionSchedule) -> AggregateDephasing:
         for p in entries:
             gamma[i] *= p.strength
             phase[i] += p.phase
-    return AggregateDephasing(gamma, phase % TWO_PI)
+    return AggregateDephasing(gamma, phase)
 
 
 def perp_ket(ket: np.ndarray, phase: float = 0.0) -> np.ndarray:
@@ -202,7 +203,7 @@ def collision_params(spec: MicroCollisionSpec) -> CollisionParams:
     """
     overlap = complex(np.trace(spec.xi.mat @ (spec.v1().conj().T @ spec.v0())))
     strength = min(abs(overlap), 1.0)
-    return CollisionParams(strength, _mod_2pi(float(np.angle(overlap))))
+    return CollisionParams(strength, float(np.angle(overlap)))
 
 
 def apply_microscopic_collision(

@@ -29,10 +29,6 @@ class NormalizationError(DecohereError):
     """A state vector or density matrix fails its normalization invariant."""
 
 
-class BracketError(DecohereError):
-    """A root-finding bracket does not enclose the sought transition."""
-
-
 class FormulaUnavailableError(DecohereError):
     """No closed-form negativity exists for the requested family/size."""
 

@@ -46,7 +46,7 @@ from typing import IO, Union
 import numpy as np
 import yaml
 
-from .channel import TWO_PI, AggregateDephasing
+from .channel import AggregateDephasing
 from .errors import ConfigError, DecohereError
 from .negativity import (
     BipartiteCut,
@@ -164,7 +164,7 @@ def _homogeneous(point: dict) -> AggregateDephasing:
     phase = k * point["phi"]
     if not np.isfinite(phase):
         raise ConfigError(f"schedule.phi: K * phi = {k} * {point['phi']!r} is not finite")
-    return AggregateDephasing.homogeneous(point["n_qubits"], gamma, phase % TWO_PI)
+    return AggregateDephasing.homogeneous(point["n_qubits"], gamma, phase)
 
 
 def _parse_cuts(data):

@@ -32,7 +32,7 @@ exactly one negative eigenvalue; the GHZ spectrum is {1/2, 1/2,
 a point in blocked batched kernel calls, each block summarized after one
 sort. At homogeneous gamma a cluster cut turns NPT where its longest run
 of m crossing edges does, at the exact smallest root in (0, 1) of one
-integer polynomial; GHZ and W have no transition (NPT for all gamma > 0).
+integer polynomial; GHZ and W turn NPT at gamma = 0 (NPT for all gamma > 0).
 
 Two scalar summaries of a PT spectrum are reported side by side:
 
@@ -58,7 +58,7 @@ from typing import Union
 import numpy as np
 
 from .channel import AggregateDephasing
-from .errors import BracketError, FormulaUnavailableError, InvalidPartitionError, InvalidSizeError
+from .errors import FormulaUnavailableError, InvalidPartitionError, InvalidSizeError
 from .linalg import DensityMatrix, _check_qubit_mask, partial_transpose
 from .states import Family, StateFamily
 from .tolerances import PSD_FLOOR
@@ -193,10 +193,9 @@ def _w_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
 def _crossing_edges(cuts, n_qubits: int) -> np.ndarray:
     """Which chain edges cross each cut: entry [r, i-1] is True iff qubits i
     and i+1 lie on different sides of ``cuts[r]``. Bit i-1 of ``m ^ m >> 1``
-    compares bits i-1 and i of the mask m. The masks are int64 while they
-    fit, below 2^63, and Python ints past that, so any n works."""
-    flips = [c.cli_bitmask ^ c.cli_bitmask >> 1 for c in cuts]
-    flips = np.array(flips, dtype=np.int64 if n_qubits < 64 else object)
+    compares bits i-1 and i of the mask m. The masks are int64, so n <= 63;
+    the callers stop at ``MAX_QUBITS`` (kernel) or at 3 (closed form)."""
+    flips = np.array([c.cli_bitmask ^ c.cli_bitmask >> 1 for c in cuts], dtype=np.int64)
     return (flips[:, None] >> np.arange(n_qubits - 1) & 1).astype(bool)
 
 
@@ -280,8 +279,8 @@ _DENSE_STACK_ENTRIES = 2**14
 
 def _dense_spectra(rho: DensityMatrix, cuts):
     """Yield ``(cut, spectrum)`` for each cut of the checked sequence
-    ``cuts``, in order: the ascending spectrum of ``rho``'s partial
-    transpose on that cut, solved on its support.
+    ``cuts``, in order: the spectrum of ``rho``'s partial transpose on that
+    cut, solved on its support and padded with zeros, unsorted.
 
     Entry (i, j) of the PT is rho[i ^ d, j ^ d], d = (i ^ j) & m, where m
     holds the index bits of P1's qubits, so each nonzero (a, b) of ``rho``
@@ -327,7 +326,7 @@ def _dense_spectra(rho: DensityMatrix, cuts):
 def _solve_stacked(held, dim: int):
     """Yield ``(cut, spectrum)`` for the ``(cut, block)`` pairs of ``held``,
     in order: one ``eigvalsh`` call per block size, each spectrum padded
-    with zeros to ``dim`` and sorted."""
+    with zeros to ``dim``, unsorted (``_reports`` sorts it)."""
     by_size = {}
     for index, (_, block) in enumerate(held):
         by_size.setdefault(len(block), []).append(index)
@@ -340,7 +339,6 @@ def _solve_stacked(held, dim: int):
     for (cut, _), values in zip(held, eigs):
         spectrum = np.zeros(dim)
         spectrum[: values.size] = values
-        spectrum.sort()
         yield cut, spectrum
 
 
@@ -501,13 +499,12 @@ def distillability_check(state: State) -> DistillabilityVerdict:
     )
 
 
-def _run_lengths(cut: BipartiteCut) -> tuple[int, ...]:
-    """The class of a cluster cut at homogeneous gamma: the sorted lengths of
-    its runs of crossing edges, the runs of 1 bits of ``m ^ m >> 1`` below
-    bit n-1. The PT spectrum is the Kronecker product of the runs' spectra
-    and of {(1 +- gamma)/2} per other qubit, so cuts of one class share it."""
+def _longest_run(cut: BipartiteCut) -> int:
+    """The longest run of crossing edges of a cluster cut: the longest run
+    of 1 bits of ``m ^ m >> 1`` below bit n-1. At homogeneous gamma the cut
+    turns NPT where that run does (``critical_gamma``)."""
     flips = (cut.cli_bitmask ^ cut.cli_bitmask >> 1) & ((1 << cut.n_qubits - 1) - 1)
-    return tuple(sorted(len(run) for run in f"{flips:b}".split("0") if run))
+    return max(map(len, f"{flips:b}".split("0")))
 
 
 def _run_polynomial(m: int) -> list[int]:
@@ -579,43 +576,27 @@ def _run_threshold(m: int) -> float:
     return lo / (1 << j)
 
 
-def critical_gamma(
-    family: StateFamily,
-    cuts: list[BipartiteCut],
-    lo: float,
-    hi: float,
-) -> list[float]:
-    """The homogeneous gamma where each cut turns from PPT to NPT, one per
-    cut in the order of ``cuts``: tau_M (``_run_threshold``), M the longest
-    run of crossing edges of the cut (``_run_lengths``). No spectrum is built.
+def critical_gamma(family: StateFamily, cuts) -> list[float]:
+    """The homogeneous gamma above which each cut is NPT, and at or below
+    which it is PPT, one per cut in the order of ``cuts``; no spectrum is
+    built. All qubits share one gamma; phases never move eigenvalues.
 
-    All qubits share one gamma; phases never move eigenvalues. The PT
-    spectrum is the Kronecker product of the runs' spectra sigma_m and of
-    {(1 +- gamma)/2} per lone qubit (Hein, Eisert, Briegel, PRA 69, 062311
-    (2004)). Those are positive and every factor has trace 1, so the cut is
-    NPT iff some sigma_m is (the trace norm is multiplicative: Vidal,
-    Werner, PRA 65, 032314 (2002)). sigma_m is PSD up to tau_m and negative
-    just above it on the all-ones graph ket, 2^-(m+1) p_m(gamma). tau_m is
-    nonincreasing in m: measuring an end qubit in Z is LOCC and maps
-    sigma_m to sigma_{m-1}, which is thus PPT wherever sigma_m is. So the
-    cut turns NPT at tau_M.
+    GHZ and W: 0.0 on every cut. Their PT minimum, -gamma^n/2 or -gamma^2
+    sqrt(|A||B|)/n, is 0 at gamma = 0 and negative for every gamma > 0.
 
-    BracketError names each cut with tau < lo (NPT at both ends of [lo,
-    hi]) or tau >= hi (PPT at both ends). GHZ and W raise it for any
-    bracket: their PT minimum, -gamma^n/2 or -gamma^2 sqrt(|A||B|)/n, is
-    negative for every gamma > 0.
+    Cluster chains: tau_M (``_run_threshold``), the exact root rounded to
+    the nearest double, M the longest run of crossing edges of the cut
+    (``_longest_run``). The PT spectrum is the Kronecker product of the
+    runs' spectra sigma_m and of {(1 +- gamma)/2} per lone qubit (Hein,
+    Eisert, Briegel, PRA 69, 062311 (2004)). Those are positive and every
+    factor has trace 1, so the cut is NPT iff some sigma_m is (the trace
+    norm is multiplicative: Vidal, Werner, PRA 65, 032314 (2002)). sigma_m
+    is PSD up to tau_m and negative just above it on the all-ones graph
+    ket, 2^-(m+1) p_m(gamma). tau_m is nonincreasing in m: measuring an end
+    qubit in Z is LOCC and maps sigma_m to sigma_{m-1}, which is thus PPT
+    wherever sigma_m is. So the cut turns NPT at tau_M.
     """
-    if not 0.0 <= lo < hi <= 1.0:
-        raise BracketError(f"bracket [{lo}, {hi}] is not an ordered subinterval of [0, 1]")
     cuts = _check_cuts(cuts, family.n_qubits)
     if family.kind is not Family.CLUSTER:
-        raise BracketError(f"{family.kind.value} states are NPT on every cut for every gamma > 0")
-    taus = [_run_threshold(max(_run_lengths(cut))) for cut in cuts]
-    stuck = [
-        f"cut {cut.human()} is {'NPT' if tau < lo else 'PPT'} at both ends of [{lo}, {hi}]"
-        for cut, tau in zip(cuts, taus)
-        if not lo <= tau < hi
-    ]
-    if stuck:
-        raise BracketError("; ".join(stuck) + "; no transition inside the bracket")
-    return taus
+        return [0.0] * len(cuts)
+    return [_run_threshold(_longest_run(cut)) for cut in cuts]

@@ -405,7 +405,7 @@ def check_structured_vs_dense(
                 np.concatenate([spectra for _, spectra in _spectra(state, cuts)])
                 for state in ((family, agg), apply_dephasing(pure, agg))
             )
-            spread = np.abs(np.sort(fast) - dense).max()
+            spread = np.abs(np.sort(fast) - np.sort(dense)).max()
             worst = max(worst, spread, -0.5 - dense.min(), dense.max() - 1.0)
             for a, b in zip(_reports(cuts, fast), _reports(cuts, dense)):
                 worst = max(

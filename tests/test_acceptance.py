@@ -179,13 +179,11 @@ def test_criterion_5_w_residual_entanglement_survives_dead_qubit():
 
 
 def test_criterion_6_cluster_critical_points():
-    [pair] = critical_gamma(
-        StateFamily(Family.CLUSTER, 2), [BipartiteCut.from_members(2, {1})], 0.1, 0.9
-    )
+    [pair] = critical_gamma(StateFamily(Family.CLUSTER, 2), [BipartiteCut.from_members(2, {1})])
     err_pair = abs(pair - (SQRT2 - 1.0))
     assert err_pair <= 1e-7
     [chain] = critical_gamma(
-        StateFamily(Family.CLUSTER, 3), [BipartiteCut.from_members(3, {1, 3})], 0.1, 0.9
+        StateFamily(Family.CLUSTER, 3), [BipartiteCut.from_members(3, {1, 3})]
     )
     err_chain = abs(chain - 0.295598)
     assert err_chain <= 5e-6

@@ -252,6 +252,18 @@ class TestAggregateDephasing:
         with pytest.raises(ValueError):
             AggregateDephasing(np.array([0.5]), np.array([np.inf]))
 
+    def test_a_tiny_negative_phase_wraps_to_zero(self):
+        # its % 2*pi rounds to exactly 2*pi, which is 0 again
+        assert AggregateDephasing([0.5], [-1e-300]).phase[0] == 0.0
+        assert CollisionParams(0.5, -1e-300).phase == 0.0
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    def test_phases_lie_in_one_period(self, phases):
+        # in [0, 2*pi), by the rule CollisionParams applies to one phase
+        agg = AggregateDephasing(np.full(len(phases), 0.5), phases)
+        assert ((agg.phase >= 0.0) & (agg.phase < 2 * np.pi)).all()
+        assert agg.phase.tolist() == [CollisionParams(0.5, p).phase for p in phases]
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10])
     def test_matches_dense_factor_reference(self, n):
         rng = np.random.default_rng(n)
