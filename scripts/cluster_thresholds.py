@@ -33,10 +33,11 @@ def chain_thresholds(n):
 
 
 def rounding(coeffs, g):
-    """Whether the double g is a correctly rounded root of the integer
-    polynomial ``coeffs`` (highest power first): whether p has opposite
-    signs at the two half-ulp neighbours of g. Exact: each neighbour is
-    num / den in Python ints, and den^deg p(num / den) has the sign of p."""
+    """The verdict "correctly rounded" if the double g is a correctly rounded
+    root of the integer polynomial p = ``coeffs`` (highest power first),
+    that is, if p has opposite signs at the two half-ulp neighbours of g.
+    Exact: each neighbour is num / den in Python ints, and den^deg p(num /
+    den) has the sign of p there."""
     a, b = g.as_integer_ratio()
     values = []
     for side in (0.0, 1.0):

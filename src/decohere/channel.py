@@ -47,6 +47,8 @@ class CollisionParams:
     def __post_init__(self):
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError(f"collision strength must be in [0, 1], got {self.strength}")
+        if not np.isfinite(self.phase):
+            raise ValueError(f"collision phase must be finite, got {self.phase}")
         object.__setattr__(self, "phase", float(_mod_2pi(self.phase)))
 
 

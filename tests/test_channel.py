@@ -141,6 +141,9 @@ class TestCollisionParams:
             CollisionParams(strength=-0.1, phase=0.0)
         with pytest.raises(ValueError):
             CollisionParams(strength=1.1, phase=0.0)
+        for phase in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                CollisionParams(strength=0.5, phase=phase)
         wrapped = CollisionParams(strength=0.5, phase=2 * np.pi + 1.0)
         assert abs(wrapped.phase - 1.0) < 1e-12
 
