@@ -10,7 +10,6 @@ family, dense for any state) alongside each family's closed forms.
 from .channel import (
     AggregateDephasing,
     CollisionParams,
-    CollisionSchedule,
     MicroCollisionSpec,
     apply_dephasing,
     apply_microscopic_collision,

@@ -16,6 +16,9 @@ multiplying strengths and adding phases, so a whole history aggregates into
 one (gamma, Phi) pair per qubit: off-diagonal entries of the n-qubit density
 matrix get scaled by ``gamma_i`` and rotated by ``exp(+- i Phi_i)`` for each
 qubit whose bra/ket bits disagree.
+
+``AggregateDephasing`` holds those pairs, the one form in which dephasing
+data travels; ``schedule_aggregate`` folds per-qubit histories into it.
 """
 
 from __future__ import annotations
@@ -52,37 +55,6 @@ class CollisionParams:
         object.__setattr__(self, "phase", float(_mod_2pi(self.phase)))
 
 
-@dataclass(frozen=True)
-class CollisionSchedule:
-    """Per-qubit ordered collision histories.
-
-    ``per_qubit[i]`` lists the collisions suffered by qubit ``i+1``; an empty
-    list means that qubit never collided and keeps full coherence.
-    """
-
-    n_qubits: int
-    per_qubit: tuple[tuple[CollisionParams, ...], ...]
-
-    def __post_init__(self):
-        if len(self.per_qubit) != self.n_qubits:
-            raise InvalidSizeError(
-                f"schedule lists {len(self.per_qubit)} qubits, expected {self.n_qubits}"
-            )
-        object.__setattr__(
-            self, "per_qubit", tuple(tuple(entries) for entries in self.per_qubit)
-        )
-
-    @classmethod
-    def homogeneous(
-        cls, n_qubits: int, collisions_per_qubit: int, strength: float, phase: float = 0.0
-    ) -> "CollisionSchedule":
-        """Every qubit suffers the same number of identical collisions."""
-        if collisions_per_qubit < 0:
-            raise InvalidSizeError("collision count cannot be negative")
-        one = CollisionParams(strength, phase)
-        return cls(n_qubits, ((one,) * collisions_per_qubit,) * n_qubits)
-
-
 @dataclass(frozen=True, eq=False)
 class AggregateDephasing:
     """The net per-qubit dephasing data: gamma in [0,1] and a phase."""
@@ -117,15 +89,17 @@ class AggregateDephasing:
         return cls(np.full(n_qubits, float(gamma)), np.full(n_qubits, float(phase)))
 
 
-def schedule_aggregate(sched: CollisionSchedule) -> AggregateDephasing:
-    """Collapse a collision history into per-qubit (gamma, phase) pairs.
+def schedule_aggregate(histories) -> AggregateDephasing:
+    """Collapse collision histories into per-qubit (gamma, phase) pairs.
 
-    Strengths multiply and phases add (mod 2*pi); an empty history leaves
+    ``histories[i]`` is the ordered sequence of ``CollisionParams`` suffered
+    by qubit ``i+1``, so n is ``len(histories)``. Strengths multiply in
+    order from 1.0 and phases add (mod 2*pi); an empty history leaves
     gamma = 1, phase = 0.
     """
-    gamma = np.ones(sched.n_qubits)
-    phase = np.zeros(sched.n_qubits)
-    for i, entries in enumerate(sched.per_qubit):
+    gamma = np.ones(len(histories))
+    phase = np.zeros(len(histories))
+    for i, entries in enumerate(histories):
         for p in entries:
             gamma[i] *= p.strength
             phase[i] += p.phase
@@ -151,8 +125,8 @@ class MicroCollisionSpec:
 
     ``psi``/``phi_ket`` are the environment kets that |0>/|1> of the system
     qubit steer the environment onto; the perpendicular partners are built
-    with the caller-supplied phases. ``xi`` is the (mixed, in general)
-    pre-collision environment state.
+    with the caller-supplied phases, which must be finite. ``xi`` is the
+    (mixed, in general) pre-collision environment state.
     """
 
     psi: np.ndarray
@@ -162,6 +136,9 @@ class MicroCollisionSpec:
     phi_perp_phase: float = 0.0
 
     def __post_init__(self):
+        for name in ("psi_perp_phase", "phi_perp_phase"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         psi = np.asarray(self.psi, dtype=np.complex128)
         phi_ket = np.asarray(self.phi_ket, dtype=np.complex128)
         for name, ket in (("psi", psi), ("phi_ket", phi_ket)):

@@ -163,11 +163,11 @@ def _reports(cuts, spectra: np.ndarray) -> list[NegativityReport]:
 
 def _ghz_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
     """The PT couples |0...0> and |1...1> only through the pair (1_A 0_B,
-    0_A 1_B), whose block has zero diagonal: {1/2, 1/2, +-prod(gamma)/2}."""
-    out = np.zeros((len(cuts), 2 ** gamma.shape[1]))
-    for row, g in zip(out, gamma):
-        half = 0.5 * np.prod(g)
-        row[:4] = 0.5, 0.5, half, -half
+    0_A 1_B), whose block has zero diagonal: {1/2, 1/2, +-prod(gamma)/2},
+    the same on every cut."""
+    out = np.zeros((len(cuts), 2**gamma.size))
+    half = 0.5 * np.prod(gamma)
+    out[:, :4] = 0.5, 0.5, half, -half
     return out
 
 
@@ -176,10 +176,10 @@ def _w_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
     excitations (G_ij = gamma_i gamma_j, G_ii = 1, positive semidefinite),
     and the arrow block on span{|0...0>, |e_i + e_j> : i in A, j in B},
     whose only nonzero eigenvalues are +-(1/n) sqrt(sum_A gamma^2 * sum_B gamma^2)."""
-    k, n = gamma.shape
-    out = np.zeros((k, 2**n))
-    for row, g, cut in zip(out, gamma, cuts):
-        sides = [g[[q - 1 for q in cut._side(bit)]] for bit in (1, 0)]
+    n = gamma.size
+    out = np.zeros((len(cuts), 2**n))
+    for row, cut in zip(out, cuts):
+        sides = [gamma[[q - 1 for q in cut._side(bit)]] for bit in (1, 0)]
         blocks = []
         for side in sides:
             gram = np.outer(side, side)
@@ -200,21 +200,22 @@ def _crossing_edges(cuts, n_qubits: int) -> np.ndarray:
 
 
 def _cluster_weights(gamma: np.ndarray, cuts) -> tuple[np.ndarray, np.ndarray]:
-    """The stabilizer weights f of ``_cluster_spectrum`` and a spare buffer,
-    two flat arrays of k 2^n values. f is grown one qubit at a time in the
-    two buffers used in turn: appending s_{i+1} as the lowest bit, f(..,
-    s_i, 1) is f(.., s_i) times gamma_{i+1}, or times signed[i-1] when s_i
-    = 1. Negating a factor is exact, so each value is the plain sequential
+    """The stabilizer weights f of ``_cluster_spectrum`` on each of the k
+    ``cuts`` at the one per-qubit ``gamma``, and a spare buffer, two flat
+    arrays of k 2^n values. f is grown one qubit at a time in the two
+    buffers used in turn: appending s_{i+1} as the lowest bit, f(.., s_i, 1)
+    is f(.., s_i) times gamma_{i+1}, or times signed[r, i-1] when s_i = 1.
+    Negating a factor is exact, so each value is the plain sequential
     product with its crossing signs, and at gamma = 1 exactly the sign."""
-    k, n = gamma.shape
+    k, n = len(cuts), gamma.size
     # signed[r, i-1] is gamma_{i+1}, negated if edge (i, i+1) crosses cuts[r]
-    signed = np.where(_crossing_edges(cuts, n), -gamma[:, 1:], gamma[:, 1:])
+    signed = np.where(_crossing_edges(cuts, n), -gamma[1:], gamma[1:])
     f, spare = np.empty(k << n), np.empty(k << n)
-    f[: 2 * k].reshape(k, 2)[:] = np.stack([np.ones(k), gamma[:, 0]], axis=1)
+    f[: 2 * k].reshape(k, 2)[:] = 1.0, gamma[0]
     for i in range(1, n):
         pairs, grown = f[: k << i].reshape(k, -1, 2), spare[: k << (i + 1)].reshape(k, -1, 2, 2)
         grown[..., 0] = pairs
-        np.multiply(pairs[:, :, 0], gamma[:, i, None], out=grown[:, :, 0, 1])
+        np.multiply(pairs[:, :, 0], gamma[i], out=grown[:, :, 0, 1])
         np.multiply(pairs[:, :, 1], signed[:, i - 1, None], out=grown[:, :, 1, 1])
         f, spare = spare, f
     return f, spare
@@ -250,12 +251,12 @@ def _cluster_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
     commuting, so the eigenvalue on the graph-basis ket |t> is
     2^-n sum_s f(s) (-1)^(s.t). Qubit 1 is the most significant bit of s.
     """
-    return _walsh_hadamard(*_cluster_weights(gamma, cuts), gamma.shape[1])
+    return _walsh_hadamard(*_cluster_weights(gamma, cuts), gamma.size)
 
 
-# The structured PT spectra, by family: gamma of shape (k, n) and k cuts give
-# a (k, 2^n) array whose row r is the spectrum of cuts[r] at gamma[r]. Rows
-# never mix, so a row holds the same floats whichever rows share its call.
+# The structured PT spectra, by family: gamma of shape (n,) and k cuts give a
+# (k, 2^n) array whose row r is the spectrum of cuts[r]. Rows never mix, so a
+# row holds the same floats whichever cuts share its call.
 _SPECTRA = {Family.GHZ: _ghz_spectrum, Family.W: _w_spectrum, Family.CLUSTER: _cluster_spectrum}
 
 # Most spectrum values one kernel call may hold: blocks of 2^16 / 2^n cuts
@@ -374,16 +375,15 @@ def _check_cuts(cuts, n: int) -> list[BipartiteCut]:
 def _spectra(state: State, cuts: list[BipartiteCut]):
     """Yield ``(block, spectra)`` pairs covering the checked list ``cuts`` in
     order, row r of ``spectra`` the PT spectrum of ``block[r]``: for a
-    family pair one ``_SPECTRA`` call per ``_blocks`` slice, for a
-    ``DensityMatrix`` one row per cut from ``_dense_spectra``."""
+    family pair one ``_SPECTRA`` call on ``agg.gamma`` per ``_blocks``
+    slice, for a ``DensityMatrix`` one row per cut from ``_dense_spectra``."""
     if isinstance(state, DensityMatrix):
         for cut, spectrum in _dense_spectra(state, cuts):
             yield [cut], spectrum[None]
         return
     family, agg = state
-    gamma = np.repeat(agg.gamma[None, :], len(cuts), axis=0)
     for block in _blocks(len(cuts), family.n_qubits):
-        yield cuts[block], _SPECTRA[family.kind](gamma[block], cuts[block])
+        yield cuts[block], _SPECTRA[family.kind](agg.gamma, cuts[block])
 
 
 def negativity_reports(state: State, cuts) -> list[NegativityReport]:

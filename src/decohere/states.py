@@ -37,6 +37,8 @@ class StateFamily:
     n_qubits: int
 
     def __post_init__(self):
+        if not isinstance(self.kind, Family):
+            raise TypeError(f"kind must be a Family, got {self.kind!r}")
         try:
             object.__setattr__(self, "n_qubits", operator.index(self.n_qubits))
         except TypeError as exc:

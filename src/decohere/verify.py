@@ -25,7 +25,6 @@ import numpy as np
 from .channel import (
     AggregateDephasing,
     CollisionParams,
-    CollisionSchedule,
     MicroCollisionSpec,
     apply_dephasing,
     apply_microscopic_collision,
@@ -73,7 +72,8 @@ def random_schedule(
     strength_high: float = 1.0,
     min_collisions: int = 0,
     max_collisions: int = 3,
-) -> CollisionSchedule:
+) -> tuple[tuple[CollisionParams, ...], ...]:
+    """One random collision history per qubit, for ``schedule_aggregate``."""
     per_qubit = []
     for _ in range(n_qubits):
         count = int(rng.integers(min_collisions, max_collisions + 1))
@@ -86,7 +86,7 @@ def random_schedule(
                 for _ in range(count)
             )
         )
-    return CollisionSchedule(n_qubits, tuple(per_qubit))
+    return tuple(per_qubit)
 
 
 def random_aggregate(rng: np.random.Generator, n_qubits: int) -> AggregateDephasing:
@@ -259,26 +259,23 @@ def check_dephasing_composition(max_n: int, rng: np.random.Generator) -> Propert
 def check_schedule_aggregation(max_n: int, rng: np.random.Generator) -> PropertyResult:
     worst = 0.0
     # empty history: full coherence
-    agg = schedule_aggregate(CollisionSchedule(3, ((), (), ())))
+    agg = schedule_aggregate(((), (), ()))
     worst = max(worst, np.abs(agg.gamma - 1.0).max(), np.abs(agg.phase).max())
     # K identical collisions: strength**K, phases summed mod 2*pi
     for _ in range(25):
         strength = float(rng.uniform(0.0, 1.0))
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         k = int(rng.integers(1, 5))
-        sched = CollisionSchedule.homogeneous(2, k, strength, phase)
-        agg = schedule_aggregate(sched)
+        agg = schedule_aggregate(((CollisionParams(strength, phase),) * k,) * 2)
         worst = max(worst, np.abs(agg.gamma - strength**k).max())
         worst = max(worst, np.abs(np.exp(1j * agg.phase) - np.exp(1j * k * phase)).max())
     # one dead collision kills the whole qubit's coherence
-    sched = CollisionSchedule(
-        2,
+    agg = schedule_aggregate(
         (
             (CollisionParams(0.9), CollisionParams(0.0), CollisionParams(0.7)),
             (CollisionParams(0.5),),
-        ),
+        )
     )
-    agg = schedule_aggregate(sched)
     worst = max(worst, abs(agg.gamma[0]), abs(agg.gamma[1] - 0.5))
     return PropertyResult("schedule_aggregation", worst <= 1e-12, worst, 1e-12)
 
@@ -294,11 +291,8 @@ def check_micro_reduced_agreement(max_n: int, rng: np.random.Generator) -> Prope
         micro = apply_microscopic_collision(rho, qubit, spec).mat
 
         params = collision_params(spec)
-        gamma = np.ones(n)
-        phase = np.zeros(n)
-        gamma[qubit - 1] = params.strength
-        phase[qubit - 1] = params.phase
-        reduced = apply_dephasing(rho, AggregateDephasing(gamma, phase)).mat
+        agg = schedule_aggregate([(params,) if q == qubit else () for q in range(1, n + 1)])
+        reduced = apply_dephasing(rho, agg).mat
         worst = max(worst, np.abs(micro - reduced).max())
     return PropertyResult("micro_reduced_agreement", worst <= 1e-10, worst, 1e-10)
 

@@ -17,7 +17,6 @@ from decohere import (
     AggregateDephasing,
     BipartiteCut,
     CollisionParams,
-    CollisionSchedule,
     DensityMatrix,
     Family,
     MicroCollisionSpec,
@@ -112,7 +111,7 @@ def test_criterion_3_single_dead_collision_disentangles_ghz():
                 if q == dead_qubit:
                     collisions[int(rng.integers(3))] = CollisionParams(0.0, 0.0)
                 per_qubit.append(tuple(collisions))
-            agg = schedule_aggregate(CollisionSchedule(n, tuple(per_qubit)))
+            agg = schedule_aggregate(per_qubit)
             verdict = distillability_check(apply_dephasing(base, agg))
             assert not verdict.all_cuts_npt
             # PPT verdicts use the -1e-10 floor, so this is "every cut >= -1e-10"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from decohere import (
     AggregateDephasing,
     CollisionParams,
-    CollisionSchedule,
     DensityMatrix,
     InvalidPartitionError,
     InvalidSizeError,
@@ -160,6 +159,13 @@ class TestMicroSpecValidation:
                 psi=KET0, phi_ket=KET1, xi=DensityMatrix(2, np.eye(4) / 4)
             )
 
+    @pytest.mark.parametrize("name", ["psi_perp_phase", "phi_perp_phase"])
+    @pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_perp_phases(self, name, phase):
+        # an infinite phase would give NaN unitary entries and a NaN strength
+        with pytest.raises(ValueError, match=name):
+            MicroCollisionSpec(psi=KET0, phi_ket=KET1, xi=MIXED, **{name: phase})
+
 
 class TestMicroscopicCollision:
     def test_dead_collision_wipes_ghz_corners(self):
@@ -277,34 +283,24 @@ class TestAggregateDephasing:
 
 class TestSchedules:
     def test_empty_schedule_is_identity(self):
-        agg = schedule_aggregate(CollisionSchedule(3, ((), (), ())))
+        agg = schedule_aggregate(((), (), ()))
         assert np.array_equal(agg.gamma, np.ones(3))
         assert np.array_equal(agg.phase, np.zeros(3))
 
     def test_repeated_collisions_multiply(self):
-        sched = CollisionSchedule.homogeneous(2, collisions_per_qubit=3, strength=0.9)
-        agg = schedule_aggregate(sched)
+        agg = schedule_aggregate(((CollisionParams(0.9),) * 3,) * 2)
         assert np.abs(agg.gamma - 0.9**3).max() < 1e-15
 
     def test_one_dead_collision_zeroes_qubit(self):
-        sched = CollisionSchedule(
-            2,
+        agg = schedule_aggregate(
             (
                 (CollisionParams(0.8, 0.0), CollisionParams(0.0, 0.0)),
                 (CollisionParams(0.8, 0.0),),
-            ),
+            )
         )
-        agg = schedule_aggregate(sched)
         assert agg.gamma[0] == 0.0
         assert abs(agg.gamma[1] - 0.8) < 1e-15
 
     def test_phases_accumulate_mod_2pi(self):
-        sched = CollisionSchedule.homogeneous(
-            2, collisions_per_qubit=4, strength=1.0, phase=np.pi
-        )
-        agg = schedule_aggregate(sched)
+        agg = schedule_aggregate(((CollisionParams(1.0, np.pi),) * 4,) * 2)
         assert np.abs(agg.phase).max() < 1e-12
-
-    def test_per_qubit_length_must_match(self):
-        with pytest.raises(InvalidSizeError):
-            CollisionSchedule(3, ((), ()))

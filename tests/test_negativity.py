@@ -112,7 +112,7 @@ def weight_signs(cuts, n):
     """The sign of each stabilizer weight, one row per cut of an n-chain, a
     (k, 2^n) int64 array: ``_cluster_weights`` at gamma = 1, where every
     weight is exactly +-1."""
-    f, _ = negativity._cluster_weights(np.ones((len(cuts), n)), cuts)
+    f, _ = negativity._cluster_weights(np.ones(n), cuts)
     return f.reshape(len(cuts), 2**n).astype(np.int64)
 
 
@@ -783,7 +783,7 @@ class TestStructuredMatchesDense:
         rho = apply_dephasing(to_density(make_state(family)), agg)
         for cut, dense in zip(cuts, dense_spectra(rho, cuts)):
             full = np.linalg.eigvalsh(partial_transpose(rho, cut.cli_bitmask))
-            structured = _SPECTRA[family.kind](agg.gamma[None, :], [cut])[0]
+            structured = _SPECTRA[family.kind](agg.gamma, [cut])[0]
             report = negativity_oracle((family, agg), cut)
             assert_matches_full(structured, report, full, ("structured", cut.human()))
             report = negativity_oracle(rho, cut)
@@ -824,12 +824,12 @@ class TestStructuredMatchesDense:
 
 def _ghz_without_gamma1(gamma, cuts):
     dropped = gamma.copy()
-    dropped[:, 0] = 1.0
+    dropped[0] = 1.0
     return negativity._ghz_spectrum(dropped, cuts)
 
 
 def _w_prefactor_n_minus_1(gamma, cuts):
-    n = gamma.shape[1]
+    n = gamma.size
     return negativity._w_spectrum(gamma, cuts) * n / (n - 1)
 
 
@@ -838,7 +838,7 @@ def _cluster_sign_on_kept_edges(gamma, cuts):
     flipped = []
     for cut in cuts:
         side, members = True, {1}
-        for i in range(1, gamma.shape[1]):
+        for i in range(1, gamma.size):
             side ^= (i in cut._side(1)) == (i + 1 in cut._side(1))
             if side:
                 members.add(i + 1)
@@ -1038,20 +1038,20 @@ class TestHomogeneousNPT:
 
 
 class TestStructuredKernels:
-    """Each ``_SPECTRA`` kernel takes one row per cut; each row holds the
-    same floats as a one-cut call."""
+    """Each ``_SPECTRA`` kernel takes one gamma vector and k cuts, and gives
+    one row per cut; each row holds the same floats as a one-cut call."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("kind", list(Family))
     def test_batched_rows_equal_one_row_calls(self, kind, n):
         rng = np.random.default_rng([n, 2, list(Family).index(kind)])
         cuts = enumerate_cuts(n)
-        gamma = rng.uniform(0, 1, (len(cuts), n))
-        batched = _SPECTRA[kind](gamma, cuts)
-        assert batched.shape == (len(cuts), 2**n)
-        for row, cut in enumerate(cuts):
-            single = _SPECTRA[kind](gamma[row : row + 1], [cut])
-            assert np.array_equal(batched[row], single[0]), cut.human()
+        for gamma in rng.uniform(0, 1, (3, n)):
+            batched = _SPECTRA[kind](gamma, cuts)
+            assert batched.shape == (len(cuts), 2**n)
+            for row, cut in enumerate(cuts):
+                single = _SPECTRA[kind](gamma, [cut])
+                assert np.array_equal(batched[row], single[0]), cut.human()
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("kind", list(Family))
@@ -1071,26 +1071,26 @@ class TestClusterKernel:
     @staticmethod
     def assert_reference(gamma, cuts):
         got = negativity._cluster_spectrum(gamma, cuts)
-        assert got.shape == (len(cuts), 2 ** gamma.shape[1])
-        assert got.tobytes() == reference_cluster_spectrum(gamma, cuts).tobytes()
+        assert got.shape == (len(cuts), 2**gamma.size)
+        rows = np.repeat(gamma[None, :], len(cuts), axis=0)
+        assert got.tobytes() == reference_cluster_spectrum(rows, cuts).tobytes()
 
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_heterogeneous_rows(self, n):
+    def test_random_gammas(self, n):
         cuts = enumerate_cuts(n)
-        self.assert_reference(np.random.default_rng([n, 4]).uniform(0, 1, (len(cuts), n)), cuts)
+        for gamma in np.random.default_rng([n, 4]).uniform(0, 1, (3, n)):
+            self.assert_reference(gamma, cuts)
 
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_homogeneous_rows(self, n):
-        # the shape critical_gamma passes: one gamma per row, on every qubit
+    def test_homogeneous_gammas(self, n):
         cuts = enumerate_cuts(n)
-        gamma = np.random.default_rng([n, 5]).uniform(0, 1, len(cuts))
-        self.assert_reference(np.repeat(gamma[:, None], n, axis=1), cuts)
+        for gamma in np.random.default_rng([n, 5]).uniform(0, 1, 3):
+            self.assert_reference(np.full(n, gamma), cuts)
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("value", [0.0, 1.0])
     def test_rows_at_the_ends(self, n, value):
-        cuts = enumerate_cuts(n)
-        self.assert_reference(np.full((len(cuts), n), value), cuts)
+        self.assert_reference(np.full(n, value), enumerate_cuts(n))
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_a_call_spanning_two_blocks(self, n):

@@ -129,6 +129,12 @@ class TestFamilyPlumbing:
         with pytest.raises(ValueError):
             Family("bell")
 
+    @pytest.mark.parametrize("kind", ["ghz", "cluster", None, 0])
+    def test_rejects_a_kind_that_is_not_a_family(self, kind):
+        # a family name would pass as the cluster state in make_state
+        with pytest.raises(TypeError, match="Family"):
+            StateFamily(kind, 3)
+
     @pytest.mark.parametrize("maker", [make_ghz, make_w, make_cluster])
     def test_rejects_single_qubit(self, maker):
         with pytest.raises(InvalidSizeError):
