@@ -7,10 +7,12 @@ exact signs, that they are the correctly rounded roots of the closed forms
 (sqrt(2)-1, the root of 1 - 2g - g^2, and the root of g^3 + g^2 + 3g - 1
 for the middle-qubit cut). A cut's threshold is that of its longest run of m
 crossing edges: tau_m, the smallest root in (0, 1) of one integer
-polynomial, solved once per m with exact integer arithmetic and rounded to
-the nearest double (see decohere.negativity.critical_gamma). No matrix or
-spectrum is built. Each cut is rendered once, for the printed line, the
-CSV row and the middle-cut check.
+polynomial, found once per m by bisecting on an exact integer test (every
+term of the run recurrence a_{i+2} = (1 + g) a_{i+1} - 2g a_i, a_0 = 1,
+a_1 = 1 - g, is positive at g) and rounded to the nearest double (see
+decohere.negativity.critical_gamma). No matrix or spectrum is built. Each
+cut is rendered once, for the printed line, the CSV row and the middle-cut
+check.
 
 Usage:
     python3 scripts/cluster_thresholds.py [--max-n 5] [--out thresholds.csv]
@@ -18,9 +20,8 @@ Usage:
 
 import argparse
 import csv
+import math
 import sys
-
-import numpy as np
 
 from decohere import MAX_QUBITS, Family, StateFamily, critical_gamma, enumerate_cuts
 
@@ -41,7 +42,7 @@ def rounding(coeffs, g):
     a, b = g.as_integer_ratio()
     values = []
     for side in (0.0, 1.0):
-        c, d = float(np.nextafter(g, side)).as_integer_ratio()
+        c, d = math.nextafter(g, side).as_integer_ratio()
         num, den, acc = a * d + b * c, 2 * b * d, 0
         for power, coeff in enumerate(coeffs):
             acc = acc * num + coeff * den**power

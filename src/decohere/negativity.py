@@ -50,7 +50,6 @@ eigenvalue; the cluster closed form predicts the negativity sum.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Union
@@ -507,72 +506,57 @@ def _longest_run(cut: BipartiteCut) -> int:
     return max(map(len, f"{flips:b}".split("0")))
 
 
-def _run_polynomial(m: int) -> list[int]:
-    """p_m(gamma) = (1, -gamma) T^m (1, 1)^T, T = [[1, -gamma], [1, gamma]],
-    as integers, highest power first: 2^(m+1) times the PT eigenvalue on the
-    all-ones graph ket of a run of m crossing edges. p_1 = 1 - 2g - g^2,
-    p_2 = 1 - 3g - g^2 - g^3, p_3 = 1 - 4g - g^4."""
-    a, b = [1] + [0] * (m + 1), [0, -1] + [0] * m  # (1, -gamma), lowest power first
+def _below_threshold(m: int, k: int, j: int) -> bool:
+    """Whether gamma = k / 2^j lies below tau_m (for 0 <= k < 2^j): whether
+    a_1 .. a_{m+1} are all positive, where a_0 = 1, a_1 = 1 - gamma and
+    a_{i+2} = (1 + gamma) a_{i+1} - 2 gamma a_i, so that a_{m+1} = p_m
+    (``critical_gamma``). Exact: the terms are A_i = 2^(ij) a_i, with A_0 =
+    1, A_1 = 2^j - k and A_{i+2} = (2^j + k) A_{i+1} - 2k 2^j A_i in Python
+    ints, and the scan stops at the first A_i <= 0."""
+    one = 1 << j
+    grow, shrink = one + k, 2 * k * one
+    before, term = 1, one - k
     for _ in range(m):
-        a, b = [x + y for x, y in zip(a, b)], [0] + [y - x for x, y in zip(a, b)][:-1]
-    return [x + y for x, y in zip(a, b)][::-1]
-
-
-def _sturm(p: list[int]) -> list[list[int]]:
-    """The Sturm sequence of the nonconstant integer polynomial p (highest
-    power first): p, p', then each negated remainder of the two before it,
-    down to gcd(p, p'), a constant iff p is square-free. Pseudo-remainders
-    scaled by positive integers keep every sign of the rational sequence."""
-    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
-    while len(chain[-1]) > 1:
-        r, b = chain[-2], chain[-1]
-        lead, sign = abs(b[0]), 1 if b[0] > 0 else -1
-        for _ in range(len(r) - len(b) + 1):  # cancel r's leading term
-            r = [lead * x - sign * r[0] * y for x, y in zip(r, b + [0] * (len(r) - len(b)))][1:]
-        while r and r[0] == 0:
-            r = r[1:]
-        if not r:
-            break
-        chain.append([-x // math.gcd(*r) for x in r])
-    return chain
-
-
-def _variations(chain: list[list[int]], k: int, j: int) -> int:
-    """V, the sign changes along the integer polynomials ``chain`` at k / 2^j,
-    zeros skipped, each sign exact by Horner's rule on 2^(j deg p) p(k / 2^j).
-    On a Sturm sequence V(a) - V(b) counts the distinct roots in (a, b) if
-    neither end is one, or in (a, b] if p(a) != 0 and p is square-free."""
-    signs = []
-    for p in chain:
-        acc = 0
-        for t, c in enumerate(p):
-            acc = acc * k + (c << j * t)
-        if acc:
-            signs.append(acc > 0)
-    return sum(x != y for x, y in zip(signs, signs[1:]))
+        if term <= 0:
+            return False
+        before, term = term, grow * term - shrink * before
+    return term > 0
 
 
 @functools.cache
 def _run_threshold(m: int) -> float:
-    """tau_m, the smallest root in (0, 1) of p = ``_run_polynomial(m)``,
-    rounded to the nearest double; once per m and process. A bisection on
-    dyadics keeps it in (lo, hi], counting roots in (0, x] as V(0) - V(x) on
-    the Sturm sequence, or on (p, -1) once (lo, hi] holds one root, as p(0)
-    = 1. It stops when lo and hi round to one double, as the root between
-    them then does (``int / int`` rounds correctly; a rational root of p is
-    1/b, never halfway between two doubles)."""
-    p = _run_polynomial(m)
-    chain = _sturm(p)
-    if len(chain[-1]) > 1:
-        raise ArithmeticError(f"p_{m} has a repeated root")
-    first, above = _variations(chain, 0, 0), _variations(chain, 1, 0)
+    """tau_m rounded to the nearest double; once per m and process.
+
+    The lemma: ``_below_threshold(m, k, j)`` holds exactly on (0, tau_m).
+    Let r_i = a_{i+1} / a_i, so r_0 = 1 - x and r_{i+1} = 1 + x - 2x / r_i
+    at gamma = x. If the test holds at x in (0, 1), then 0 < r_i(x) <= 1
+    for i <= m (r_i <= 1 gives r_{i+1} <= 1 - x). For y in (0, x], by
+    induction r_i(y) >= r_i(x) > 0 and r_{i+1}(y) >= 1 + y (1 - 2 / r_i(x))
+    >= r_{i+1}(x), as 1 - 2 / r_i(x) < 0; so the test holds on all of (0,
+    x], and the set where it holds is an interval (0, x*) with x* < 1 (a_1
+    = 0 at 1). It is open, as the a_i are continuous. At x* it is a_{m+1}
+    that vanishes: were a_{i+1} the first to vanish, i < m, then a_{i+2}(x*)
+    = -2 x* a_i(x*) < 0 and the test would fail just below x*. So x* is a
+    root of p_m = a_{m+1}, p_m > 0 on (0, x*), and x* = tau_m. Just above
+    it a_1 .. a_m stay positive and the test fails, so p_m < 0 there.
+
+    Corollaries. The test for m contains the test for m - 1, so tau_m <=
+    tau_{m-1}. For x <= 3 - 2 sqrt(2) the map r -> 1 + x - 2x / r, which
+    rises on r > 0, has a larger fixed point mu = (1 + x + sqrt(x^2 - 6x +
+    1)) / 2 > 0, and r_0 = 1 - x >= mu since (1 - 3x)^2 - (x^2 - 6x + 1) =
+    8x^2; so r_i >= mu for every i, the test holds, and tau_m > 3 - 2
+    sqrt(2) for every m.
+
+    A bisection on dyadics keeps tau_m in (lo, hi], starting from (0, 1]:
+    the midpoint goes to lo if the test holds there, else to hi. It stops
+    when lo and hi round to one double, as the root between them then does
+    (``int / int`` rounds correctly, and tau_m is irrational, never halfway
+    between two doubles: p_m(0) = 1 and p_m's leading coefficient is -1, so
+    its only possible rational roots are +-1)."""
     lo, hi, j = 0, 1, 0
     while lo / (1 << j) != hi / (1 << j):
-        if first - above == 1:
-            chain, first, above = [p, [-1]], 1, 0
         mid, lo, hi, j = lo + hi, 2 * lo, 2 * hi, j + 1
-        v = _variations(chain, mid, j)
-        lo, hi, above = (mid, hi, above) if v == first else (lo, mid, v)
+        lo, hi = (mid, hi) if _below_threshold(m, mid, j) else (lo, mid)
     return lo / (1 << j)
 
 
@@ -590,11 +574,18 @@ def critical_gamma(family: StateFamily, cuts) -> list[float]:
     runs' spectra sigma_m and of {(1 +- gamma)/2} per lone qubit (Hein,
     Eisert, Briegel, PRA 69, 062311 (2004)). Those are positive and every
     factor has trace 1, so the cut is NPT iff some sigma_m is (the trace
-    norm is multiplicative: Vidal, Werner, PRA 65, 032314 (2002)). sigma_m
-    is PSD up to tau_m and negative just above it on the all-ones graph
-    ket, 2^-(m+1) p_m(gamma). tau_m is nonincreasing in m: measuring an end
-    qubit in Z is LOCC and maps sigma_m to sigma_{m-1}, which is thus PPT
-    wherever sigma_m is. So the cut turns NPT at tau_M.
+    norm is multiplicative: Vidal, Werner, PRA 65, 032314 (2002)). On the
+    all-ones graph ket sigma_m is 2^-(m+1) p_m(gamma), p_m = (1, -gamma)
+    T^m (1, 1)^T with T = [[1, -gamma], [1, gamma]], which is the a_{m+1}
+    of ``_below_threshold``. tau_m is the smallest root of p_m in (0, 1):
+    p_m > 0 on (0, tau_m) and p_m < 0 just above it (the lemma in
+    ``_run_threshold``), so sigma_m is negative just above tau_m. That no
+    other graph ket is negative below tau_m is checked in integer
+    arithmetic for m <= 12, not proven. tau_m is nonincreasing in m (a
+    corollary there; also, measuring an end qubit in Z is LOCC and maps
+    sigma_m to sigma_{m-1}, which is thus PPT wherever sigma_m is), and
+    tau_m > 3 - 2 sqrt(2) for every m (the other corollary). So the cut
+    turns NPT at tau_M.
     """
     cuts = _check_cuts(cuts, family.n_qubits)
     if family.kind is not Family.CLUSTER:

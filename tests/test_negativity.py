@@ -156,13 +156,93 @@ def divide_out(q, p):
     return q
 
 
-def exact_sign(p, x):
-    """The sign of the integer polynomial p (highest power first) at the
-    rational x."""
+def exact_value(p, x):
+    """The integer polynomial p (highest power first) at the rational x, by
+    Horner's rule."""
     value = Fraction(0)
     for c in p:
         value = value * x + c
+    return value
+
+
+def exact_sign(p, x):
+    """The sign of the integer polynomial p (highest power first) at the
+    rational x."""
+    value = exact_value(p, x)
     return (value > 0) - (value < 0)
+
+
+def run_polynomial(m):
+    """p_m(gamma) = (1, -gamma) T^m (1, 1)^T, T = [[1, -gamma], [1, gamma]],
+    as integers, highest power first: 2^(m+1) times the PT eigenvalue on the
+    all-ones graph ket of a run of m crossing edges. p_1 = 1 - 2g - g^2,
+    p_2 = 1 - 3g - g^2 - g^3, p_3 = 1 - 4g - g^4."""
+    a, b = [1] + [0] * (m + 1), [0, -1] + [0] * m  # (1, -gamma), lowest power first
+    for _ in range(m):
+        a, b = [x + y for x, y in zip(a, b)], [0] + [y - x for x, y in zip(a, b)][:-1]
+    return [x + y for x, y in zip(a, b)][::-1]
+
+
+def sturm(p):
+    """The Sturm sequence of the nonconstant integer polynomial p (highest
+    power first): p, p', then each negated remainder of the two before it,
+    down to gcd(p, p'), a constant iff p is square-free. Pseudo-remainders
+    scaled by positive integers keep every sign of the rational sequence."""
+    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    while len(chain[-1]) > 1:
+        r, b = chain[-2], chain[-1]
+        lead, sign = abs(b[0]), 1 if b[0] > 0 else -1
+        for _ in range(len(r) - len(b) + 1):  # cancel r's leading term
+            r = [lead * x - sign * r[0] * y for x, y in zip(r, b + [0] * (len(r) - len(b)))][1:]
+        while r and r[0] == 0:
+            r = r[1:]
+        if not r:
+            break
+        chain.append([-x // math.gcd(*r) for x in r])
+    return chain
+
+
+def variations(chain, k, j):
+    """V, the sign changes along the integer polynomials ``chain`` at k / 2^j,
+    zeros skipped, each sign exact by Horner's rule on 2^(j deg p) p(k / 2^j).
+    On a Sturm sequence V(a) - V(b) counts the distinct roots in (a, b) if
+    neither end is one, or in (a, b] if p(a) != 0 and p is square-free."""
+    signs = []
+    for p in chain:
+        acc = 0
+        for t, c in enumerate(p):
+            acc = acc * k + (c << j * t)
+        if acc:
+            signs.append(acc > 0)
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def sturm_threshold(m):
+    """tau_m by the Sturm route the run recurrence replaced: the smallest
+    root in (0, 1) of the square-free ``run_polynomial(m)``, by the same
+    dyadic bisection and stopping rule as ``_run_threshold``, counting
+    roots in (0, x] as V(0) - V(x), or on (p, -1) once (lo, hi] holds one."""
+    p = run_polynomial(m)
+    chain = sturm(p)
+    assert len(chain[-1]) == 1, f"p_{m} has a repeated root"
+    first, above = variations(chain, 0, 0), variations(chain, 1, 0)
+    lo, hi, j = 0, 1, 0
+    while lo / (1 << j) != hi / (1 << j):
+        if first - above == 1:
+            chain, first, above = [p, [-1]], 1, 0
+        mid, lo, hi, j = lo + hi, 2 * lo, 2 * hi, j + 1
+        v = variations(chain, mid, j)
+        lo, hi, above = (mid, hi, above) if v == first else (lo, mid, v)
+    return lo / (1 << j)
+
+
+def run_terms(m, gamma):
+    """a_0 .. a_{m+1} of the run recurrence at ``gamma``: a_0 = 1, a_1 = 1 -
+    gamma, a_{i+2} = (1 + gamma) a_{i+1} - 2 gamma a_i."""
+    terms = [1, 1 - gamma]
+    for _ in range(m):
+        terms.append((1 + gamma) * terms[-1] - 2 * gamma * terms[-2])
+    return terms
 
 
 def alternating_cut(n):
@@ -1307,9 +1387,9 @@ class TestExactThresholds:
     OFFSET = 1e-4
 
     def test_run_polynomials(self):
-        assert negativity._run_polynomial(1) == [-1, -2, 1]
-        assert negativity._run_polynomial(2) == [-1, -1, -3, 1]
-        assert negativity._run_polynomial(3) == [-1, 0, 0, -4, 1]
+        assert run_polynomial(1) == [-1, -2, 1]
+        assert run_polynomial(2) == [-1, -1, -3, 1]
+        assert run_polynomial(3) == [-1, 0, 0, -4, 1]
 
     @pytest.mark.parametrize(
         "roots",
@@ -1324,14 +1404,14 @@ class TestExactThresholds:
         p = [1]
         for r in roots:  # times (den x - num)
             p = [a * r.denominator - b * r.numerator for a, b in zip(p + [0], [0] + p)]
-        chain = negativity._sturm(p)
+        chain = sturm(p)
         assert (len(chain[-1]) == 1) == (len(set(roots)) == len(roots))
         points = [k for k in range(-17, 40) if Fraction(k, 16) not in roots]
         for a in points:
             for b in points:
                 if a < b:
                     want = len({r for r in roots if Fraction(a, 16) < r < Fraction(b, 16)})
-                    got = negativity._variations(chain, a, 4) - negativity._variations(chain, b, 4)
+                    got = variations(chain, a, 4) - variations(chain, b, 4)
                     assert got == want, (a, b)
 
     @pytest.mark.parametrize("m", range(1, 13))
@@ -1344,7 +1424,7 @@ class TestExactThresholds:
         cut = alternating_cut(n)
         assert brute_run_lengths(cut) == (m,)
         [table] = integer_polynomials([cut], n)
-        p = negativity._run_polynomial(m)
+        p = run_polynomial(m)
         assert highest_first(table[-1]) == p
         k, den = math.nextafter(negativity._run_threshold(m), 1.0).as_integer_ratio()
         j = den.bit_length() - 1
@@ -1354,8 +1434,49 @@ class TestExactThresholds:
             h = divide_out(q, p)
             if len(h) > 1:
                 assert exact_sign(h, Fraction(k, den)) != 0
-                chain = negativity._sturm(h)
-                assert negativity._variations(chain, 0, 0) == negativity._variations(chain, k, j), q
+                chain = sturm(h)
+                assert variations(chain, 0, 0) == variations(chain, k, j), q
+
+    def test_p_m_is_the_last_term_of_the_run_recurrence(self):
+        # both sides have degree m + 1, so agreeing at the m + 2 points
+        # 0 .. m + 1 makes them the same polynomial
+        for m in range(40):
+            p = run_polynomial(m)
+            assert len(p) == m + 2
+            assert [run_terms(m, x)[-1] for x in range(m + 2)] == [
+                exact_value(p, x) for x in range(m + 2)
+            ], m
+
+    @pytest.mark.parametrize("m", range(1, 26))
+    def test_the_integer_test_is_the_recurrence_at_dyadics(self, m):
+        # random dyadics on (0, 1), and the half-ulp neighbours of tau_m
+        # either side of the root
+        rng = np.random.default_rng([m, 25])
+        points = [(int(rng.integers(1 << j)), j) for j in rng.integers(1, 61, 200).tolist()]
+        tau = Fraction(negativity._run_threshold(m))
+        for side in (0.0, 1.0):
+            x = (tau + Fraction(math.nextafter(float(tau), side))) / 2
+            points.append((x.numerator, x.denominator.bit_length() - 1))
+        verdicts = set()
+        for k, j in points:
+            want = all(a > 0 for a in run_terms(m, Fraction(k, 1 << j))[1:])
+            assert negativity._below_threshold(m, k, j) == want, (k, j)
+            assert want == (Fraction(k, 1 << j) < tau)  # no point is within an ulp
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_threshold_is_the_sturm_bisection(self, m):
+        assert negativity._run_threshold(m) == sturm_threshold(m)
+
+    def test_long_runs_approach_three_minus_two_sqrt2_from_above(self):
+        # tau_m falls strictly, stays above 3 - 2 sqrt(2) (exactly: 3 - tau
+        # < 2 sqrt(2)), and at m = 199 sits 2.339 / 200^2 above it
+        taus = [negativity._run_threshold(m) for m in range(1, 201)]
+        assert all(a > b for a, b in zip(taus, taus[1:]))
+        assert all((3 - Fraction(tau)) ** 2 < 8 for tau in taus)
+        gap = (taus[198] - (3 - 2 * math.sqrt(2))) * 200**2
+        assert abs(gap - 2.339) < 1e-3
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_verdicts_either_side_of_each_threshold(self, n):
@@ -1391,7 +1512,7 @@ class TestExactThresholds:
         assert sorted(by_run) == list(range(1, n))
         for m, taus in by_run.items():
             [tau] = taus
-            p, x = negativity._run_polynomial(m), Fraction(tau)
+            p, x = run_polynomial(m), Fraction(tau)
             below = (x + Fraction(math.nextafter(tau, 0.0))) / 2
             above = (x + Fraction(math.nextafter(tau, 1.0))) / 2
             assert (exact_sign(p, below), exact_sign(p, above)) == (1, -1), m
