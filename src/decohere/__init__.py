@@ -4,7 +4,9 @@ The library builds GHZ, W, and linear-cluster states, decoheres them with
 per-qubit collision channels (microscopic controlled-unitary form or the
 reduced dephasing map), and measures what survives via partial-transpose
 negativity across every bipartite cut — exact PT spectra (structured per
-family, dense for any state) alongside each family's closed forms.
+family, dense for any state). The GHZ and W structured spectra are those
+families' closed forms; ``cluster_negativity_formula`` is the independent
+closed form of 2- and 3-qubit cluster chains.
 """
 
 from .channel import (
@@ -51,10 +53,8 @@ from .negativity import (
     critical_gamma,
     distillability_check,
     enumerate_cuts,
-    ghz_negativity_formula,
     negativity_oracle,
     negativity_reports,
-    w_negativity_formula,
 )
 from .states import Family, StateFamily, make_cluster, make_ghz, make_state, make_w, to_density
 from .tolerances import MAX_QUBITS

@@ -31,10 +31,11 @@ for that point's qubit count.
 
 Result rows carry both oracle quantities, read from the family's structured
 partial-transpose spectrum (``negativity_reports`` of the family and the
-point's aggregate; no density matrix is built), plus the closed
-form where one exists. ``abs_error`` compares the formula against the
-oracle quantity the formula predicts: the signed minimum eigenvalue for GHZ
-and W, the negativity sum for cluster chains (see ``negativity.closed_form``).
+point's aggregate; no density matrix is built). Rows of cluster chains of 2
+and 3 qubits also carry ``cluster_negativity_formula`` and its
+``abs_error`` against the negativity sum. GHZ and W rows leave both blank:
+their structured spectra are their closed forms, so the two would compare
+an expression with itself.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ import yaml
 from .channel import AggregateDephasing
 from .errors import ConfigError, DecohereError
 from .negativity import (
+    _CLUSTER_FORMULA_QUBITS,
     BipartiteCut,
-    _has_closed_form,
-    closed_form,
+    cluster_negativity_formula,
     enumerate_cuts,
     negativity_reports,
 )
@@ -326,15 +327,14 @@ def _point_rows(
 ) -> list[ResultRow]:
     family = StateFamily(kind, agg.n_qubits)
     gammas = tuple(float(g) for g in agg.gamma)
+    has_formula = kind is Family.CLUSTER and agg.n_qubits <= _CLUSTER_FORMULA_QUBITS
 
-    rows, has_formula = [], _has_closed_form(family)
+    rows = []
     for report in negativity_reports((family, agg), cuts):
-        formula_value: Union[float, None] = None
-        abs_error: Union[float, None] = None
+        formula_value = abs_error = None
         if has_formula:
-            value, predicts = closed_form(family, agg, report.cut)
-            formula_value = float(value)
-            abs_error = abs(getattr(report, predicts) - value)
+            formula_value = float(cluster_negativity_formula(agg, report.cut))
+            abs_error = abs(report.negativity_sum - formula_value)
         rows.append(
             ResultRow(
                 family=kind.value,

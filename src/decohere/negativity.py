@@ -4,13 +4,13 @@ A state is entangled across a bipartite cut whenever its partial transpose
 has a negative eigenvalue (NPT); a necessary condition for full n-partite
 distillability is NPT across *every* cut. This module enumerates cuts,
 computes the exact PT spectrum (the oracle), evaluates the closed-form
-predictions available for the GHZ, W, and short linear-cluster families, and
-gives the critical dephasing strengths of cluster cuts as exact roots.
+negativity of cluster chains of 2 and 3 qubits, and gives the critical
+dephasing strengths of cluster cuts as exact roots.
 
 A cut is its canonical bitmask (``BipartiteCut``), the qubit-set
 convention of ``linalg``: enumeration, CSV rows, the structured spectra and
-the dense partial transpose all read the mask, and the W closed form reads
-the sides' qubits off it.
+the dense partial transpose all read the mask, and the W kernel reads the
+sides' qubits off it.
 
 The oracle is one call, ``negativity_reports(state, cuts)``, which checks
 the state and every cut once (``negativity_oracle`` is its one-cut case).
@@ -27,10 +27,11 @@ spectrum written down from the family's structure, with no 2^n x 2^n matrix
 diagonal in the graph-state basis and the PT only flips stabilizer signs, so
 the cluster spectrum is one Walsh-Hadamard transform, run in autosort order
 with the floats of an in-place butterfly; the W PT is block diagonal with
-exactly one negative eigenvalue; the GHZ spectrum is {1/2, 1/2,
-+-prod(gamma)/2} plus zeros. The structured path evaluates all the cuts of
-a point in blocked batched kernel calls, each block summarized after one
-sort. At homogeneous gamma a cluster cut turns NPT where its longest run
+exactly one negative eigenvalue, -(1/n) sqrt(sum_A gamma^2 * sum_B gamma^2);
+the GHZ spectrum is {1/2, 1/2, +-prod(gamma)/2} plus zeros. These two
+kernels are the GHZ and W closed forms, so rows report no separate formula
+for them. The structured path evaluates all the cuts of a point in blocked
+batched kernel calls, each block summarized after one sort. At homogeneous gamma a cluster cut turns NPT where its longest run
 of m crossing edges does, at the exact smallest root in (0, 1) of one
 integer polynomial; GHZ and W turn NPT at gamma = 0 (NPT for all gamma > 0).
 
@@ -43,8 +44,7 @@ Two scalar summaries of a PT spectrum are reported side by side:
 They coincide when exactly one eigenvalue is negative (GHZ and W always;
 cluster chains on their middle cut), but they genuinely differ on the outer
 cuts of a 3-qubit cluster chain, where the negativity is split across two
-eigenvalues. The GHZ and W closed forms below predict the signed minimum
-eigenvalue; the cluster closed form predicts the negativity sum.
+eigenvalues. The cluster closed form below predicts the negativity sum.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ from typing import Union
 import numpy as np
 
 from .channel import AggregateDephasing
-from .errors import FormulaUnavailableError, InvalidPartitionError, InvalidSizeError
+from .errors import CapacityError, FormulaUnavailableError, InvalidPartitionError, InvalidSizeError
 from .linalg import DensityMatrix, _check_qubit_mask, partial_transpose
 from .states import Family, StateFamily
-from .tolerances import PSD_FLOOR
+from .tolerances import MAX_QUBITS, PSD_FLOOR
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,8 @@ def enumerate_cuts(n_qubits: int) -> list[BipartiteCut]:
     """All 2**(n-1) - 1 canonical cuts, ascending by external bitmask.
 
     Canonical cuts keep qubit 1 in P1, so their bitmasks are exactly the odd
-    integers below the all-qubits mask.
+    integers below the all-qubits mask. Past ``MAX_QUBITS`` it raises
+    CapacityError before building any cut: the list doubles per qubit.
     """
     try:
         n_qubits = operator.index(n_qubits)
@@ -144,6 +145,8 @@ def enumerate_cuts(n_qubits: int) -> list[BipartiteCut]:
         raise InvalidSizeError(f"n_qubits must be an integer, got {n_qubits!r}") from exc
     if n_qubits < 2:
         raise InvalidSizeError(f"cuts need at least 2 qubits, got {n_qubits}")
+    if n_qubits > MAX_QUBITS:
+        raise CapacityError(f"{n_qubits} qubits exceeds the cut capacity of {MAX_QUBITS}")
     return [BipartiteCut(n_qubits, mask) for mask in range(1, 2**n_qubits - 1, 2)]
 
 
@@ -405,22 +408,6 @@ def negativity_oracle(state: State, cut: BipartiteCut) -> NegativityReport:
     return negativity_reports(state, [cut])[0]
 
 
-def ghz_negativity_formula(agg: AggregateDephasing) -> float:
-    """Most negative PT eigenvalue of a dephased GHZ state: any cut gives
-    the same value, -(1/2) * prod(gamma_i)."""
-    return -0.5 * float(np.prod(agg.gamma))
-
-
-def w_negativity_formula(agg: AggregateDephasing, cut: BipartiteCut) -> float:
-    """Most negative PT eigenvalue of a dephased W state for a given cut:
-    -(1/N) * sqrt(sum of gamma^2 over P1 * sum of gamma^2 over P2)."""
-    [cut] = _check_cuts([cut], agg.n_qubits)
-    g2 = agg.gamma**2
-    left = sum(g2[q - 1] for q in cut._side(1))
-    right = sum(g2[q - 1] for q in cut._side(0))
-    return -float(np.sqrt(left * right)) / cut.n_qubits
-
-
 def _edge_negativity(g_a: float, g_b: float) -> float:
     """Negativity carried by one entangled edge of a cluster chain."""
     return (g_a * g_b + g_a + g_b - 1.0) / 4.0
@@ -433,12 +420,6 @@ def _chain_negativity(g1: float, g2: float, g3: float) -> float:
 
 # The longest cluster chain with a closed form (edge terms and a chain term)
 _CLUSTER_FORMULA_QUBITS = 3
-
-
-def _has_closed_form(family: StateFamily) -> bool:
-    """Whether ``closed_form`` has a formula for ``family``: GHZ and W at any
-    size, cluster chains of at most ``_CLUSTER_FORMULA_QUBITS`` qubits."""
-    return family.kind is not Family.CLUSTER or family.n_qubits <= _CLUSTER_FORMULA_QUBITS
 
 
 def cluster_negativity_formula(agg: AggregateDephasing, cut: BipartiteCut) -> float:
@@ -463,26 +444,6 @@ def cluster_negativity_formula(agg: AggregateDephasing, cut: BipartiteCut) -> fl
     raise FormulaUnavailableError(
         f"no closed-form cluster negativity for {n} qubits; use negativity_oracle"
     )
-
-
-def closed_form(
-    family: StateFamily, agg: AggregateDephasing, cut: BipartiteCut
-) -> tuple[float, str]:
-    """Dispatch to the family's closed form.
-
-    Returns ``(value, predicts)`` where ``predicts`` names the oracle
-    quantity the formula is a prediction of: ``"min_eigenvalue"`` (signed)
-    for GHZ and W, ``"negativity_sum"`` for the cluster chain.
-
-    Raises FormulaUnavailableError when the family/size has no closed form.
-    The pair and the cut are checked as ``negativity_reports`` checks them.
-    """
-    _check_cuts([cut], _n_qubits((family, agg)))
-    if family.kind is Family.GHZ:
-        return ghz_negativity_formula(agg), "min_eigenvalue"
-    if family.kind is Family.W:
-        return w_negativity_formula(agg, cut), "min_eigenvalue"
-    return cluster_negativity_formula(agg, cut), "negativity_sum"
 
 
 def distillability_check(state: State) -> DistillabilityVerdict:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, settings
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +30,24 @@ def run_python(*args, timeout=120, cwd=None):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=timeout
     )
+
+
+# References for the GHZ and W closed forms. The package's structured
+# kernels evaluate the same expressions; the tests hold those kernels, and
+# the dense eigensolver, to these.
+
+
+def ghz_negativity_formula(agg):
+    """Most negative PT eigenvalue of a dephased GHZ state: any cut gives
+    the same value, -(1/2) * prod(gamma_i)."""
+    return -0.5 * float(np.prod(agg.gamma))
+
+
+def w_negativity_formula(agg, cut):
+    """Most negative PT eigenvalue of a dephased W state on ``cut``:
+    -(1/N) * sqrt(sum of gamma^2 over P1 * sum of gamma^2 over P2)."""
+    g2 = agg.gamma**2
+    inside = [cut.cli_bitmask >> q & 1 == 1 for q in range(cut.n_qubits)]
+    left = sum(g for g, i in zip(g2, inside) if i)
+    right = sum(g for g, i in zip(g2, inside) if not i)
+    return -float(np.sqrt(left * right)) / cut.n_qubits

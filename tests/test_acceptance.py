@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from conftest import run_python
+from conftest import ghz_negativity_formula, run_python, w_negativity_formula
 
 from decohere import (
     AggregateDephasing,
@@ -28,7 +28,6 @@ from decohere import (
     critical_gamma,
     distillability_check,
     enumerate_cuts,
-    ghz_negativity_formula,
     make_cluster,
     make_ghz,
     make_state,
@@ -37,7 +36,6 @@ from decohere import (
     partial_trace,
     schedule_aggregate,
     to_density,
-    w_negativity_formula,
 )
 from decohere.verify import (
     random_cut,

@@ -4,15 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_python
+from conftest import ghz_negativity_formula, run_python, w_negativity_formula
 
 from decohere import (
     ConfigError,
     DensityMatrix,
     Family,
-    FormulaUnavailableError,
     StateFamily,
     apply_dephasing,
+    cluster_negativity_formula,
     make_state,
     partial_transpose,
     to_density,
@@ -28,13 +28,12 @@ from decohere.experiment import (
     write_csv,
 )
 from decohere import cli, linalg, negativity
-from decohere.negativity import closed_form
 from decohere.tolerances import PSD_FLOOR
 
 SQRT2 = np.sqrt(2.0)
 GOLDEN = Path(__file__).parent / "data" / "golden"
 SINGLE_GOLDENS = ["ghz4", "w4", "cluster4", "cluster8", "w10"]
-SWEEP_GOLDENS = ["w5_lambda", "ghz4_k", "cluster_n"]
+SWEEP_GOLDENS = ["w5_lambda", "ghz4_k", "ghz_n", "cluster_n"]
 # All 255 cuts of a 9-qubit cluster: more rows than one structured kernel
 # call holds, so the bytes pin rows computed across a block boundary. Its
 # dense route (255 eigensolves at dim 512) is too slow for the dense check.
@@ -63,7 +62,8 @@ def masks(cuts):
 
 def dense_rows(config):
     """The rows of ``config`` the long way: the explicit dephased density
-    matrix of each point and a full eigensolve of each partial transpose."""
+    matrix of each point, a full eigensolve of each partial transpose, and
+    the cluster closed form on chains of at most 3 qubits."""
     rows = []
     for agg, cuts in config.points:
         family = StateFamily(config.family, agg.n_qubits)
@@ -71,23 +71,19 @@ def dense_rows(config):
         for cut in cuts:
             eigs = np.linalg.eigvalsh(partial_transpose(rho, cut.cli_bitmask))
             negatives = eigs[eigs < PSD_FLOOR]
-            quantities = {
-                "min_eigenvalue": float(eigs[0]),
-                "negativity_sum": float(-negatives.sum()) if negatives.size else 0.0,
-            }
-            try:
-                value, predicts = closed_form(family, agg, cut)
-                formula, error = value, abs(quantities[predicts] - value)
-            except FormulaUnavailableError:
-                formula = error = None
+            negativity = float(-negatives.sum()) if negatives.size else 0.0
+            formula = error = None
+            if config.family is Family.CLUSTER and agg.n_qubits <= 3:
+                formula = cluster_negativity_formula(agg, cut)
+                error = abs(negativity - formula)
             rows.append(
                 ResultRow(
                     config.family.value,
                     agg.n_qubits,
                     cut,
                     tuple(float(g) for g in agg.gamma),
-                    quantities["min_eigenvalue"],
-                    quantities["negativity_sum"],
+                    float(eigs[0]),
+                    negativity,
                     formula,
                     error,
                 )
@@ -268,8 +264,7 @@ class TestRunSingle:
         for row in rows:
             assert row.family == "ghz"
             assert abs(row.min_eigenvalue - (-0.5)) < 1e-12
-            assert abs(row.formula_value - (-0.5)) < 1e-15
-            assert row.abs_error < 1e-12
+            assert row.formula_value is None and row.abs_error is None
         assert [row.cut.cli_bitmask for row in rows] == [1, 3, 5]
 
     def test_w_balanced_cut_row(self):
@@ -311,6 +306,32 @@ class TestRunSingle:
         rows = run_single(config)
         assert all(row.formula_value is None for row in rows)
         assert all(row.abs_error is None for row in rows)
+
+    def test_only_short_cluster_rows_carry_a_formula(self):
+        # the GHZ and W kernels are their closed forms, so their rows carry
+        # none; the rows still equal the test-local references on every cut
+        rng = np.random.default_rng(27)
+        for n in range(2, 11):
+            gammas = [float(g) for g in rng.uniform(0.0, 1.0, n)]
+            runs = {}
+            for family in ("ghz", "w", "cluster"):
+                config = parse_config(
+                    base_config(family=family, n_qubits=n, schedule={"gammas": gammas})
+                )
+                [(agg, _)] = config.points
+                runs[family] = run_single(config)
+            for ghz, w, cluster in zip(*runs.values(), strict=True):
+                for row, reference in (
+                    (ghz, ghz_negativity_formula(agg)),
+                    (w, w_negativity_formula(agg, w.cut)),
+                ):
+                    assert row.formula_value is None and row.abs_error is None
+                    assert abs(row.min_eigenvalue - reference) <= 1e-15
+                if n <= 3:
+                    assert cluster.formula_value == cluster_negativity_formula(agg, cluster.cut)
+                    assert cluster.abs_error == abs(cluster.negativity_sum - cluster.formula_value)
+                else:
+                    assert cluster.formula_value is None and cluster.abs_error is None
 
     def test_every_formula_row_within_contract_tolerance(self):
         for family in ("ghz", "w", "cluster"):
@@ -468,12 +489,14 @@ class TestCSV:
         assert text == ",".join(CSV_HEADER) + "\n"
 
     def test_rows_round_trip_through_repr(self):
-        config = parse_config(base_config(schedule={"gammas": [0.3, 0.7, 0.9]}))
+        config = parse_config(
+            base_config(family="cluster", schedule={"gammas": [0.3, 0.7, 0.9]})
+        )
         rows = run_single(config)
         parsed = list(csv.reader(io.StringIO(csv_text(rows))))
         assert len(parsed) == 4
         for row, fields in zip(rows, parsed[1:]):
-            assert fields[0] == "ghz"
+            assert fields[0] == "cluster"
             assert int(fields[1]) == 3
             assert int(fields[2]) == row.cut.cli_bitmask
             assert fields[3] == row.cut.human()
@@ -517,14 +540,18 @@ class TestGoldenCSV:
     """Stored `decohere single` and `decohere sweep` output.
 
     Refactors of the numerical kernels or of config parsing must reproduce
-    these bytes exactly. The CSVs were regenerated once, when the rows moved
-    from a dense eigensolve of the dephased density matrix to the families'
-    structured partial-transpose spectra: that moved the last bits of the
-    floats (at most 1.3e-15, in cluster8), and test_rows_match_dense_oracle,
-    committed before the regeneration, checks every row against the dense
-    route to 1e-13. Any other change to these bytes is a regression. The
-    sweep files pin the homogeneous gamma = lambda**K and
-    Phi = K*phi mod 2*pi arithmetic for lambda, K and n_qubits sweeps.
+    these bytes exactly. The CSVs were regenerated twice. First, when the
+    rows moved from a dense eigensolve of the dephased density matrix to the
+    families' structured partial-transpose spectra: that moved the last bits
+    of the floats (at most 1.3e-15, in cluster8), and
+    test_rows_match_dense_oracle, committed before the regeneration, checks
+    every row against the dense route to 1e-13. Second, when GHZ and W rows
+    stopped carrying a closed form (their kernels are those closed forms):
+    in the five GHZ and W files only formula_value and abs_error changed, to
+    blank. Any other change to these bytes is a regression. The sweep files
+    pin the homogeneous gamma = lambda**K and Phi = K*phi mod 2*pi
+    arithmetic for lambda, K and n_qubits sweeps; ghz_n is the paper's GHZ
+    decay over n = 2..8 at gamma = 0.9**2.
     """
 
     @pytest.mark.parametrize("name", SINGLE_GOLDENS + SWEEP_GOLDENS)

@@ -5,13 +5,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import ROOT
+from conftest import ROOT, ghz_negativity_formula, w_negativity_formula
 from hypothesis import given
 from hypothesis import strategies as st
 
 from decohere import (
     AggregateDephasing,
     BipartiteCut,
+    CapacityError,
     DensityMatrix,
     Family,
     FormulaUnavailableError,
@@ -23,7 +24,6 @@ from decohere import (
     critical_gamma,
     distillability_check,
     enumerate_cuts,
-    ghz_negativity_formula,
     make_cluster,
     make_ghz,
     make_state,
@@ -33,10 +33,9 @@ from decohere import (
     partial_trace,
     partial_transpose,
     to_density,
-    w_negativity_formula,
 )
 from decohere import negativity, verify
-from decohere.negativity import _SPECTRA, _dense_spectra, closed_form
+from decohere.negativity import _SPECTRA, _dense_spectra
 from decohere.tolerances import MAX_QUBITS, PSD_FLOOR
 from decohere.verify import random_density, run_suite
 
@@ -367,6 +366,15 @@ class TestEnumerateCuts:
         with pytest.raises(InvalidSizeError):
             enumerate_cuts("3")
 
+    def test_refuses_past_capacity_before_building_a_cut(self, monkeypatch):
+        # the list doubles per qubit: 2,047 cuts at MAX_QUBITS, 4,095 past it
+        assert len(enumerate_cuts(MAX_QUBITS)) == 2 ** (MAX_QUBITS - 1) - 1
+        built = []
+        monkeypatch.setattr(BipartiteCut, "__post_init__", lambda cut: built.append(cut))
+        with pytest.raises(CapacityError):
+            enumerate_cuts(MAX_QUBITS + 1)
+        assert built == []
+
 
 def sampled_cuts(n):
     """Cuts of an n-qubit register too large to enumerate: the extreme
@@ -694,52 +702,18 @@ class TestClusterFormula:
             cluster_negativity_formula(homog(4, 0.5), cut_of(4, {1}))
 
 
-class TestClosedFormDispatch:
-    def test_predicted_quantity_per_family(self):
-        agg3 = homog(3, 0.5)
-        value, predicts = closed_form(StateFamily(Family.GHZ, 3), agg3, cut_of(3, {1}))
-        assert predicts == "min_eigenvalue"
-        assert value < 0
-        _, predicts = closed_form(StateFamily(Family.W, 3), agg3, cut_of(3, {1}))
-        assert predicts == "min_eigenvalue"
-        _, predicts = closed_form(StateFamily(Family.CLUSTER, 3), agg3, cut_of(3, {1}))
-        assert predicts == "negativity_sum"
-
-
 class TestClosedFormChecks:
-    """The closed forms check the aggregate and the cut as
+    """The cluster closed form checks the aggregate and the cut as
     ``negativity_reports`` checks a state and its cuts."""
-
-    def test_w_formula_rejects_a_non_cut(self):
-        with pytest.raises(TypeError):
-            w_negativity_formula(homog(3, 0.5), 1)
 
     def test_cluster_formula_rejects_a_non_cut(self):
         with pytest.raises(TypeError):
             cluster_negativity_formula(homog(3, 0.5), 1)
 
-    def test_ghz_closed_form_rejects_a_mismatched_aggregate(self):
-        # the GHZ formula reads no cut and only the aggregate's gamma
-        with pytest.raises(InvalidSizeError):
-            closed_form(StateFamily(Family.GHZ, 3), homog(4, 0.5), 1)
-
-    @pytest.mark.parametrize("formula", [w_negativity_formula, cluster_negativity_formula])
-    def test_formulas_reject_a_wrong_size_cut(self, formula):
-        with pytest.raises(InvalidPartitionError):
-            formula(homog(3, 0.5), cut_of(2, {1}))
-
-    @pytest.mark.parametrize("kind", list(Family))
-    def test_closed_form_rejects_what_the_oracle_rejects(self, kind):
-        family, agg = StateFamily(kind, 3), homog(3, 0.5)
-        with pytest.raises(TypeError):
-            closed_form(family, agg, 1)
-        with pytest.raises(InvalidPartitionError):
-            closed_form(family, agg, cut_of(2, {1}))
-        with pytest.raises(InvalidSizeError):
-            closed_form(family, homog(2, 0.5), cut_of(3, {1}))
-        for bad in (1, cut_of(2, {1})):
-            with pytest.raises((TypeError, InvalidPartitionError)):
-                negativity_reports((family, agg), [bad])
+    def test_cluster_formula_rejects_a_wrong_size_cut(self):
+        for agg, cut in ((homog(3, 0.5), cut_of(2, {1})), (homog(2, 0.5), cut_of(3, {1}))):
+            with pytest.raises(InvalidPartitionError):
+                cluster_negativity_formula(agg, cut)
 
 
 class TestDistillability:

@@ -1,28 +1,14 @@
-"""The runnable experiments under scripts/ and the README's Python example,
+"""The runnable experiment under scripts/ and the README's Python example,
 each in its own interpreter."""
 
 import pytest
 from conftest import ROOT, run_python
-
-from decohere.experiment import CSV_HEADER
-
 
 GOLDEN = ROOT / "tests" / "data" / "golden"
 
 
 def run_script(name, *args, timeout=120, cwd=None):
     return run_python(str(ROOT / "scripts" / name), *args, timeout=timeout, cwd=cwd)
-
-
-def test_ghz_decay_sweep_fits_the_slope(tmp_path):
-    out = tmp_path / "f.csv"
-    proc = run_script("ghz_decay_sweep.py", "--max-n", "4", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_text().splitlines()[0] == ",".join(CSV_HEADER)
-    # table rows: strength, collisions, slope, expected, misfit
-    table = [line.split() for line in proc.stdout.splitlines()[1:] if not line.startswith("wrote")]
-    assert len(table) == 6
-    assert all(float(fields[4]) < 1e-9 for fields in table)
 
 
 def test_cluster_thresholds_rows(tmp_path):
@@ -34,10 +20,9 @@ def test_cluster_thresholds_rows(tmp_path):
     assert len(lines[1:]) == 4  # one cut at n=2, three at n=3
 
 
-@pytest.mark.parametrize("name", ["ghz_decay_sweep.py", "cluster_thresholds.py"])
-def test_max_n_past_dense_capacity_is_a_usage_error(name):
+def test_max_n_past_dense_capacity_is_a_usage_error():
     # rejected up front, before any chain is solved
-    proc = run_script(name, "--max-n", "13", timeout=30)
+    proc = run_script("cluster_thresholds.py", "--max-n", "13", timeout=30)
     assert proc.returncode == 2
     assert "--max-n" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -57,11 +42,10 @@ def test_cluster_thresholds_match_golden(tmp_path, max_n):
     assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["ghz_decay_sweep.py", "cluster_thresholds.py"])
-def test_unwritable_out_is_a_usage_error(name, tmp_path):
+def test_unwritable_out_is_a_usage_error(tmp_path):
     # rejected before anything is computed or printed
     missing = tmp_path / "no-dir" / "x.csv"
-    proc = run_script(name, "--max-n", "4", "--out", str(missing), timeout=30)
+    proc = run_script("cluster_thresholds.py", "--max-n", "4", "--out", str(missing), timeout=30)
     assert proc.returncode == 2
     assert "--out" in proc.stderr
     assert "Traceback" not in proc.stderr
