@@ -31,9 +31,10 @@ exactly one negative eigenvalue, -(1/n) sqrt(sum_A gamma^2 * sum_B gamma^2);
 the GHZ spectrum is {1/2, 1/2, +-prod(gamma)/2} plus zeros. These two
 kernels are the GHZ and W closed forms, so rows report no separate formula
 for them. The structured path evaluates all the cuts of a point in blocked
-batched kernel calls, each block summarized after one sort. At homogeneous gamma a cluster cut turns NPT where its longest run
-of m crossing edges does, at the exact smallest root in (0, 1) of one
-integer polynomial; GHZ and W turn NPT at gamma = 0 (NPT for all gamma > 0).
+batched kernel calls, each block summarized after one sort. At homogeneous
+gamma a cluster cut turns NPT where its longest run of m crossing edges
+does, at the exact smallest root in (0, 1) of one integer polynomial; GHZ
+and W turn NPT at gamma = 0 (NPT for all gamma > 0).
 
 Two scalar summaries of a PT spectrum are reported side by side:
 

@@ -47,7 +47,5 @@ def w_negativity_formula(agg, cut):
     """Most negative PT eigenvalue of a dephased W state on ``cut``:
     -(1/N) * sqrt(sum of gamma^2 over P1 * sum of gamma^2 over P2)."""
     g2 = agg.gamma**2
-    inside = [cut.cli_bitmask >> q & 1 == 1 for q in range(cut.n_qubits)]
-    left = sum(g for g, i in zip(g2, inside) if i)
-    right = sum(g for g, i in zip(g2, inside) if not i)
-    return -float(np.sqrt(left * right)) / cut.n_qubits
+    inside = np.array([cut.cli_bitmask >> q & 1 for q in range(cut.n_qubits)], dtype=bool)
+    return -float(np.sqrt(g2[inside].sum() * g2[~inside].sum())) / cut.n_qubits

@@ -553,18 +553,33 @@ class TestNegativityReports:
         assert "root" in calls
 
 
+def structured_minima(kind, agg, cuts=None):
+    """``min_eigenvalue`` of the structured oracle on ``cuts`` (all cuts by
+    default), in order."""
+    cuts = enumerate_cuts(agg.n_qubits) if cuts is None else cuts
+    pair = (StateFamily(kind, agg.n_qubits), agg)
+    return [r.min_eigenvalue for r in negativity_reports(pair, cuts)]
+
+
 class TestGHZFormula:
+    """The reference ``ghz_negativity_formula`` and the structured GHZ
+    kernel, at frozen values and against the dense oracle."""
+
     def test_pure_state_value(self):
-        assert abs(ghz_negativity_formula(homog(3, 1.0)) - (-0.5)) < 1e-15
+        agg = homog(3, 1.0)
+        for value in [ghz_negativity_formula(agg), *structured_minima(Family.GHZ, agg)]:
+            assert abs(value - (-0.5)) < 1e-15
 
     def test_dead_qubit_kills_it(self):
         agg = AggregateDephasing(np.array([0.9, 0.0, 0.7]), np.zeros(3))
         assert ghz_negativity_formula(agg) == 0.0
+        assert structured_minima(Family.GHZ, agg) == [0.0] * 3
 
     def test_two_collisions_three_qubits(self):
         # strength 0.9, two collisions each, three qubits: -(0.9^6)/2
         agg = homog(3, 0.9**2)
-        assert abs(ghz_negativity_formula(agg) - (-0.2657205)) < 1e-12
+        for value in [ghz_negativity_formula(agg), *structured_minima(Family.GHZ, agg)]:
+            assert abs(value - (-0.2657205)) < 1e-12
 
     @given(st.integers(0, 10**6))
     def test_matches_oracle_on_random_aggregates(self, seed):
@@ -606,17 +621,22 @@ class TestGHZFormula:
 
 
 class TestWFormula:
+    """The reference ``w_negativity_formula`` and the structured W kernel,
+    at frozen values and against the dense oracle."""
+
     def test_matches_ghz_at_two_qubits(self):
-        agg = homog(2, 1.0)
-        assert abs(w_negativity_formula(agg, cut_of(2, {1})) - (-0.5)) < 1e-15
+        agg, cut = homog(2, 1.0), cut_of(2, {1})
+        for value in [w_negativity_formula(agg, cut), *structured_minima(Family.W, agg)]:
+            assert abs(value - (-0.5)) < 1e-15
 
     def test_balanced_cut_size_independent(self):
         # balanced cut of a homogeneous W state: -(gamma^2)/2 for any even size
         for n in (4, 6):
             gamma = 0.8
+            agg = homog(n, gamma)
             cut = cut_of(n, set(range(1, n // 2 + 1)))
-            value = w_negativity_formula(homog(n, gamma), cut)
-            assert abs(value - (-(gamma**2) / 2)) < 1e-15
+            for value in [w_negativity_formula(agg, cut), *structured_minima(Family.W, agg, [cut])]:
+                assert abs(value - (-(gamma**2) / 2)) < 1e-15
 
     def test_single_decohered_qubit_closed_form(self):
         # only qubit 1 decohered: -(1/n) sqrt((n1 - 1 + g^2)(n - n1))
@@ -624,10 +644,12 @@ class TestWFormula:
         agg = AggregateDephasing(
             np.concatenate([[gamma], np.ones(n - 1)]), np.zeros(n)
         )
-        for cut in enumerate_cuts(n):
+        cuts = enumerate_cuts(n)
+        for cut, kernel in zip(cuts, structured_minima(Family.W, agg, cuts)):
             n1 = cut.cli_bitmask.bit_count()
             expected = -np.sqrt((n1 - 1 + gamma**2) * (n - n1)) / n
             assert abs(w_negativity_formula(agg, cut) - expected) < 1e-14
+            assert abs(kernel - expected) < 1e-14
 
     @given(st.integers(0, 10**6))
     def test_matches_oracle_on_random_aggregates(self, seed):
@@ -641,11 +663,11 @@ class TestWFormula:
         assert abs(report.min_eigenvalue - w_negativity_formula(agg, cut)) < 1e-10
 
     def test_weakest_cut_is_most_balanced(self):
-        agg = homog(6, 0.7)
-        values = {cut: w_negativity_formula(agg, cut) for cut in enumerate_cuts(6)}
-        worst = min(values.values())
-        balanced = cut_of(6, {1, 2, 3})
-        assert abs(values[balanced] - worst) < 1e-15
+        agg, cuts = homog(6, 0.7), enumerate_cuts(6)
+        balanced = cuts.index(cut_of(6, {1, 2, 3}))
+        for values in ([w_negativity_formula(agg, cut) for cut in cuts],
+                       structured_minima(Family.W, agg, cuts)):
+            assert abs(values[balanced] - min(values)) < 1e-15
 
 
 class TestClusterFormula:
