@@ -621,6 +621,19 @@ class TestCLI:
         assert lines[0] == ",".join(CSV_HEADER)
         assert [line.split(",")[1] for line in lines[1:]] == ["2", "3", "4"]
 
+    def test_single_prints_the_cluster4_golden(self):
+        # the console path end to end, as CI runs the installed package
+        proc = self.run_cli("single", "--config", str(GOLDEN / "cluster4.yaml"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "cluster4.csv").read_text()
+
+    def test_sweep_writes_the_ghz_decay_golden(self, tmp_path):
+        # the paper's GHZ decay over n = 2..8, written with --out
+        out = tmp_path / "ghz_n.csv"
+        proc = self.run_cli("sweep", "--config", str(GOLDEN / "ghz_n.yaml"), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == (GOLDEN / "ghz_n.csv").read_bytes()
+
     def test_config_error_exits_2(self, tmp_path):
         path = self.write_yaml(
             tmp_path,

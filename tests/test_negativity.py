@@ -366,9 +366,13 @@ class TestEnumerateCuts:
         with pytest.raises(InvalidSizeError):
             enumerate_cuts("3")
 
+    def test_builds_every_cut_at_capacity(self):
+        # the list doubles per qubit: 2,047 cuts at MAX_QUBITS
+        cuts = enumerate_cuts(MAX_QUBITS)
+        assert len(cuts) == len(set(cuts)) == 2 ** (MAX_QUBITS - 1) - 1
+
     def test_refuses_past_capacity_before_building_a_cut(self, monkeypatch):
-        # the list doubles per qubit: 2,047 cuts at MAX_QUBITS, 4,095 past it
-        assert len(enumerate_cuts(MAX_QUBITS)) == 2 ** (MAX_QUBITS - 1) - 1
+        # 4,095 cuts past MAX_QUBITS: none of them is built
         built = []
         monkeypatch.setattr(BipartiteCut, "__post_init__", lambda cut: built.append(cut))
         with pytest.raises(CapacityError):
@@ -506,6 +510,19 @@ class TestNegativityReports:
                 negativity_reports(state, [cut_of(3, {1}), 0b011])
         with pytest.raises(TypeError):
             critical_gamma(StateFamily(Family.CLUSTER, 3), [1])
+
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_rejects_a_wrong_size_cut_or_aggregate(self, kind):
+        # each family's structured path and the dense path check alike
+        pair, rho = self.states(kind, 3)
+        for state in (pair, rho):
+            with pytest.raises(InvalidPartitionError):
+                negativity_reports(state, [cut_of(2, {1})])
+            with pytest.raises(InvalidPartitionError):
+                negativity_reports(state, [cut_of(3, {1}), cut_of(4, {1})])
+        for agg in (homog(2, 0.5), homog(4, 0.5)):
+            with pytest.raises(InvalidSizeError):
+                negativity_reports((StateFamily(kind, 3), agg), [cut_of(3, {1})])
 
     @staticmethod
     def spy_on_solvers(monkeypatch):
