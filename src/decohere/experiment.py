@@ -52,7 +52,7 @@ from .errors import ConfigError, DecohereError
 from .negativity import (
     _CLUSTER_FORMULA_QUBITS,
     BipartiteCut,
-    cluster_negativity_formula,
+    _cluster_formula,
     enumerate_cuts,
     negativity_reports,
 )
@@ -333,7 +333,8 @@ def _point_rows(
     for report in negativity_reports((family, agg), cuts):
         formula_value = abs_error = None
         if has_formula:
-            formula_value = float(cluster_negativity_formula(agg, report.cut))
+            # the cut was checked once, by negativity_reports
+            formula_value = float(_cluster_formula(agg.gamma, report.cut))
             abs_error = abs(report.negativity_sum - formula_value)
         rows.append(
             ResultRow(

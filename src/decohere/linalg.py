@@ -21,7 +21,7 @@ in ``negativity`` finds a matrix's nonzeros once for all cuts, gathers each
 cut's live block straight from the matrix through the bit swap that
 ``partial_transpose`` performs (and calls ``partial_transpose`` only when
 every index is live), solves blocks of equal size in one stacked call and
-pads the rest with exact zeros. A partial transpose only moves entries, so
+counts the rest as exact zeros. A partial transpose only moves entries, so
 its Hermiticity defect is exactly that of the matrix it came from.
 """
 

@@ -14,27 +14,32 @@ sides' qubits off it.
 
 The oracle is one call, ``negativity_reports(state, cuts)``, which checks
 the state and every cut once (``negativity_oracle`` is its one-cut case).
-It has two paths, chosen by what it is given. A ``DensityMatrix`` gets its
-partial transpose eigensolved only on the indices whose row or column
-holds a nonzero; every other index is an exact zero eigenvalue, so a
-dephased GHZ PT is solved as a 4 x 4 matrix and a W PT as one of size
-1 + n + |A||B|. One pass over the nonzeros of rho serves every cut: each
-cut's live indices are read through the PT's bit swap, only that block is
-gathered from rho, and blocks of equal size are solved in one stacked
-``eigvalsh`` call. A family state under an ``AggregateDephasing`` gets its
-spectrum written down from the family's structure, with no 2^n x 2^n matrix
-(Hein, Eisert, Briegel, PRA 69, 062311 (2004)): a dephased graph state stays
-diagonal in the graph-state basis and the PT only flips stabilizer signs, so
-the cluster spectrum is one Walsh-Hadamard transform, run in autosort order
-with the floats of an in-place butterfly; the W PT is block diagonal with
-exactly one negative eigenvalue, -(1/n) sqrt(sum_A gamma^2 * sum_B gamma^2);
-the GHZ spectrum is {1/2, 1/2, +-prod(gamma)/2} plus zeros. These two
-kernels are the GHZ and W closed forms, so rows report no separate formula
-for them. The structured path evaluates all the cuts of a point in blocked
-batched kernel calls, each block summarized after one sort. At homogeneous
-gamma a cluster cut turns NPT where its longest run of m crossing edges
-does, at the exact smallest root in (0, 1) of one integer polynomial; GHZ
-and W turn NPT at gamma = 0 (NPT for all gamma > 0).
+It has two paths, chosen by what it is given. Each path gives, per cut, the
+PT eigenvalues it computes and the count of the others, each >= 0, that it
+leaves out: zeros are counted, not stored. A ``DensityMatrix`` gets its partial
+transpose eigensolved only on the indices whose row or column holds a
+nonzero; every other index is an exact zero eigenvalue, so a dephased GHZ
+PT is solved as a 4 x 4 matrix and a W PT as one of size 1 + n + |A||B|.
+One pass over the nonzeros of rho serves every cut: each cut's live
+indices are read through the PT's bit swap, only that block is gathered
+from rho, and blocks of equal size are solved in one stacked ``eigvalsh``
+call. A family state under an ``AggregateDephasing`` gets its spectrum
+written down from the family's structure, with no 2^n x 2^n matrix (Hein,
+Eisert, Briegel, PRA 69, 062311 (2004)): a dephased graph state stays
+diagonal in the graph-state basis and the PT only flips stabilizer signs,
+so the cluster spectrum is one Walsh-Hadamard transform of all 2^n values,
+run in autosort order with the floats of an in-place butterfly. The GHZ
+spectrum is {1/2, 1/2, +-prod(gamma)/2} and 2^n - 4 zeros, so a GHZ report
+takes O(1) memory. The W PT is block diagonal, and its only eigenvalue that
+can be negative is -(1/n) sqrt(sum_A gamma^2 * sum_B gamma^2); its Gram
+blocks are positive semidefinite, so a W report reads that value and its
+partner, takes O(n) memory and no eigensolve. These two kernels are the
+GHZ and W closed forms, so rows report no separate formula for them. The
+structured path evaluates all the cuts of a point in blocked batched
+kernel calls, each block summarized after one sort. At homogeneous gamma a
+cluster cut turns NPT where its longest run of m crossing edges does, at
+the exact smallest root in (0, 1) of one integer polynomial; GHZ and W
+turn NPT at gamma = 0 (NPT for all gamma > 0).
 
 Two scalar summaries of a PT spectrum are reported side by side:
 
@@ -151,45 +156,78 @@ def enumerate_cuts(n_qubits: int) -> list[BipartiteCut]:
     return [BipartiteCut(n_qubits, mask) for mask in range(1, 2**n_qubits - 1, 2)]
 
 
-def _reports(cuts, spectra: np.ndarray) -> list[NegativityReport]:
-    """Summarize a block of PT spectra, row r that of ``cuts[r]``. Values
-    below ``PSD_FLOOR`` count as negative, those in ``[PSD_FLOOR, 0]`` as
-    rounding noise. One sort serves the block; each row's negatives are the
-    prefix of its sorted row, summed as one slice (a one-row call's sum)."""
+def _reports(cuts, spectra: np.ndarray, left_out: int) -> list[NegativityReport]:
+    """Summarize a block of PT spectra, row r that of ``cuts[r]`` less
+    ``left_out`` values >= 0 it does not store: exact zeros, or W Gram
+    eigenvalues beside a stored value <= 0. Values below ``PSD_FLOOR``
+    count as negative, those in ``[PSD_FLOOR, 0]`` as rounding noise. One
+    sort serves the block; each row's negatives are the prefix of its
+    sorted row, summed as one slice (a one-row call's sum). The minimum is
+    the row's, or 0.0 where that is >= 0 and values were left out; a zero
+    minimum is always 0.0, never -0.0 (adding 0.0 changes nothing else)."""
     ordered = np.sort(spectra, axis=1)
     counts = (ordered < PSD_FLOOR).sum(axis=1).tolist()
+    lowest = ordered[:, 0]
+    minima = ((np.minimum(lowest, 0.0) if left_out else lowest) + 0.0).tolist()
     return [
-        NegativityReport(cut, float(row[0]), float(-row[:c].sum()) if c else 0.0)
-        for cut, row, c in zip(cuts, ordered, counts)
+        NegativityReport(cut, low, float(-row[:c].sum()) if c else 0.0)
+        for cut, row, c, low in zip(cuts, ordered, counts, minima)
     ]
 
 
-def _ghz_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
+def _ghz_spectrum(gamma: np.ndarray, cuts) -> tuple[np.ndarray, int]:
     """The PT couples |0...0> and |1...1> only through the pair (1_A 0_B,
     0_A 1_B), whose block has zero diagonal: {1/2, 1/2, +-prod(gamma)/2},
-    the same on every cut."""
-    out = np.zeros((len(cuts), 2**gamma.size))
+    the same on every cut, and 2^n - 4 zeros, counted, not stored. A GHZ
+    report takes O(1) memory and no eigensolve."""
+    out = np.empty((len(cuts), 4))
     half = 0.5 * np.prod(gamma)
-    out[:, :4] = 0.5, 0.5, half, -half
-    return out
+    out[:] = 0.5, 0.5, half, -half
+    return out, 2**gamma.size - 4
 
 
-def _w_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
-    """Block diagonal: the Gram blocks G_AA/n and G_BB/n on the single
-    excitations (G_ij = gamma_i gamma_j, G_ii = 1, positive semidefinite),
-    and the arrow block on span{|0...0>, |e_i + e_j> : i in A, j in B},
-    whose only nonzero eigenvalues are +-(1/n) sqrt(sum_A gamma^2 * sum_B gamma^2)."""
+def _w_sides(gamma: np.ndarray, cut: BipartiteCut) -> list[np.ndarray]:
+    """The gammas of P1 and of P2 of ``cut``, each in qubit order."""
+    return [gamma[[q - 1 for q in cut._side(bit)]] for bit in (1, 0)]
+
+
+def _w_spectrum(gamma: np.ndarray, cuts) -> tuple[np.ndarray, int]:
+    """The two eigenvalues of the W PT that can be negative, +-(1/n)
+    sqrt(sum_A gamma^2 * sum_B gamma^2), and the 2^n - 2 others, counted,
+    not stored. A W report takes O(n) memory and no eigensolve.
+
+    The PT is block diagonal: the Gram blocks G_AA/n and G_BB/n on the
+    single excitations, G_ij = gamma_i gamma_j, G_ii = 1; the arrow block on
+    span{|0...0>, |e_i + e_j> : i in A, j in B}, whose only nonzero
+    eigenvalues are the pair above; and zeros. For gamma in [0, 1], G =
+    diag(1 - gamma^2) + gamma gamma^T is a sum of two positive
+    semidefinite matrices (a nonnegative diagonal and a rank-one outer
+    product), so every Gram eigenvalue is >= 0 >= -arrow/n: none is below
+    the pair's minimum or counts towards the negativity sum, and the report
+    of the whole spectrum is that of the pair with 2^n - 2 values >= 0 left
+    out. Only full-spectrum comparisons compute the Gram eigenvalues
+    (``_w_gram_spectrum``)."""
     n = gamma.size
-    out = np.zeros((len(cuts), 2**n))
+    out = np.empty((len(cuts), 2))
     for row, cut in zip(out, cuts):
-        sides = [gamma[[q - 1 for q in cut._side(bit)]] for bit in (1, 0)]
+        sides = _w_sides(gamma, cut)
+        arrow = np.sqrt(np.sum(sides[0] ** 2) * np.sum(sides[1] ** 2))
+        row[:] = arrow / n, (-arrow) / n
+    return out, 2**n - 2
+
+
+def _w_gram_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
+    """The n Gram-block eigenvalues of each cut's W PT that ``_w_spectrum``
+    leaves out, eigvalsh of G_AA then of G_BB, over n; a (k, n) array."""
+    n = gamma.size
+    out = np.empty((len(cuts), n))
+    for row, cut in zip(out, cuts):
         blocks = []
-        for side in sides:
+        for side in _w_sides(gamma, cut):
             gram = np.outer(side, side)
             np.fill_diagonal(gram, 1.0)
             blocks.append(np.linalg.eigvalsh(gram))
-        arrow = np.sqrt(np.sum(sides[0] ** 2) * np.sum(sides[1] ** 2))
-        row[: n + 2] = np.concatenate([*blocks, [arrow, -arrow]]) / n
+        row[:] = np.concatenate(blocks) / n
     return out
 
 
@@ -245,8 +283,9 @@ def _walsh_hadamard(f: np.ndarray, spare: np.ndarray, n: int) -> np.ndarray:
     return f.reshape(k, -1)
 
 
-def _cluster_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
-    """Walsh-Hadamard transform of the stabilizer weights, one row per cut.
+def _cluster_spectrum(gamma: np.ndarray, cuts) -> tuple[np.ndarray, int]:
+    """Walsh-Hadamard transform of the stabilizer weights, one row of all
+    2^n eigenvalues per cut, none left out.
 
     The dephased state is 2^-n sum_s f(s) K^s over the stabilizer products
     K^s, with f(s) = prod_i gamma_i^s_i. The PT flips the sign of K^s once
@@ -254,12 +293,14 @@ def _cluster_spectrum(gamma: np.ndarray, cuts) -> np.ndarray:
     commuting, so the eigenvalue on the graph-basis ket |t> is
     2^-n sum_s f(s) (-1)^(s.t). Qubit 1 is the most significant bit of s.
     """
-    return _walsh_hadamard(*_cluster_weights(gamma, cuts), gamma.size)
+    return _walsh_hadamard(*_cluster_weights(gamma, cuts), gamma.size), 0
 
 
-# The structured PT spectra, by family: gamma of shape (n,) and k cuts give a
-# (k, 2^n) array whose row r is the spectrum of cuts[r]. Rows never mix, so a
-# row holds the same floats whichever cuts share its call.
+# The structured PT spectra, by family: gamma of shape (n,) and k cuts give
+# ``(values, left_out)``, row r of the (k, m) array ``values`` the eigenvalues
+# of cuts[r] that can move a report, and ``left_out`` = 2^n - m the count of
+# the others (zeros, and the W Gram eigenvalues, all >= 0). Rows never mix,
+# so a row holds the same floats whichever cuts share its call.
 _SPECTRA = {Family.GHZ: _ghz_spectrum, Family.W: _w_spectrum, Family.CLUSTER: _cluster_spectrum}
 
 # Most spectrum values one kernel call may hold: blocks of 2^16 / 2^n cuts
@@ -282,16 +323,17 @@ _DENSE_STACK_ENTRIES = 2**14
 
 
 def _dense_spectra(rho: DensityMatrix, cuts):
-    """Yield ``(cut, spectrum)`` for each cut of the checked sequence
-    ``cuts``, in order: the spectrum of ``rho``'s partial transpose on that
-    cut, solved on its support and padded with zeros, unsorted.
+    """Yield ``(cut, values, left_out)`` for each cut of the checked
+    sequence ``cuts``, in order: the eigenvalues of ``rho``'s partial
+    transpose on that cut, solved on its support, unsorted, and the count
+    of exact zeros left out.
 
     Entry (i, j) of the PT is rho[i ^ d, j ^ d], d = (i ^ j) & m, where m
     holds the index bits of P1's qubits, so each nonzero (a, b) of ``rho``
     (found once per state) lands at (a ^ d, b ^ d), d = (a ^ b) & m. An
     index whose PT row and column are both zero is an exact eigenvalue 0,
     so only the block of the other indices is gathered and solved, and the
-    spectrum is padded with zeros. Rows alone would not do: ``eigvalsh``
+    others are counted, not stored. Rows alone would not do: ``eigvalsh``
     reads one triangle, and a matrix Hermitian only within
     ``HERMITICITY_TOL`` can hold an entry whose mirror is zero. When every
     index is live, the axis swap of ``partial_transpose`` is faster than a
@@ -328,9 +370,10 @@ def _dense_spectra(rho: DensityMatrix, cuts):
 
 
 def _solve_stacked(held, dim: int):
-    """Yield ``(cut, spectrum)`` for the ``(cut, block)`` pairs of ``held``,
-    in order: one ``eigvalsh`` call per block size, each spectrum padded
-    with zeros to ``dim``, unsorted (``_reports`` sorts it)."""
+    """Yield ``(cut, values, left_out)`` for the ``(cut, block)`` pairs of
+    ``held``, in order: one ``eigvalsh`` call per block size, each block's
+    eigenvalues unsorted (``_reports`` sorts them) and ``dim`` less their
+    count, the zeros the block leaves out."""
     by_size = {}
     for index, (_, block) in enumerate(held):
         by_size.setdefault(len(block), []).append(index)
@@ -341,9 +384,7 @@ def _solve_stacked(held, dim: int):
         for i, values in zip(indices, np.linalg.eigvalsh(stack)):
             eigs[i] = values
     for (cut, _), values in zip(held, eigs):
-        spectrum = np.zeros(dim)
-        spectrum[: values.size] = values
-        yield cut, spectrum
+        yield cut, values, dim - values.size
 
 
 State = Union[DensityMatrix, tuple[StateFamily, AggregateDephasing]]
@@ -376,32 +417,35 @@ def _check_cuts(cuts, n: int) -> list[BipartiteCut]:
 
 
 def _spectra(state: State, cuts: list[BipartiteCut]):
-    """Yield ``(block, spectra)`` pairs covering the checked list ``cuts`` in
-    order, row r of ``spectra`` the PT spectrum of ``block[r]``: for a
-    family pair one ``_SPECTRA`` call on ``agg.gamma`` per ``_blocks``
-    slice, for a ``DensityMatrix`` one row per cut from ``_dense_spectra``."""
+    """Yield ``(block, values, left_out)`` triples covering the checked list
+    ``cuts`` in order, row r of ``values`` the PT eigenvalues of
+    ``block[r]`` that can move its report and ``left_out`` the count of the
+    others, each >= 0: for a family pair one ``_SPECTRA`` call on
+    ``agg.gamma`` per ``_blocks`` slice, for a ``DensityMatrix`` one row per
+    cut from ``_dense_spectra``. ``_reports(*triple)`` summarizes one."""
     if isinstance(state, DensityMatrix):
-        for cut, spectrum in _dense_spectra(state, cuts):
-            yield [cut], spectrum[None]
+        for cut, values, left_out in _dense_spectra(state, cuts):
+            yield [cut], values[None], left_out
         return
     family, agg = state
     for block in _blocks(len(cuts), family.n_qubits):
-        yield cuts[block], _SPECTRA[family.kind](agg.gamma, cuts[block])
+        yield (cuts[block], *_SPECTRA[family.kind](agg.gamma, cuts[block]))
 
 
 def negativity_reports(state: State, cuts) -> list[NegativityReport]:
     """Exact PT spectrum summaries for the iterable ``cuts``, in order.
 
     ``state`` is either a ``DensityMatrix``, whose partial transpose is
-    solved densely on the rows and columns it touches, the rest padded with
+    solved densely on the rows and columns it touches, the rest counted as
     exact zeros (``_dense_spectra``), or a ``(StateFamily,
     AggregateDephasing)`` pair: the family state under that dephasing, whose
     PT spectrum is written down from the family's structure in blocked
-    batched kernel calls, with no matrix; phases are local Rz rotations and
-    do not enter it. The state and every cut are checked first.
+    batched kernel calls, with no matrix and, for GHZ and W, no eigensolve;
+    phases are local Rz rotations and do not enter it. The state and every
+    cut are checked first.
     """
     cuts = _check_cuts(cuts, _n_qubits(state))
-    return [r for block, spectra in _spectra(state, cuts) for r in _reports(block, spectra)]
+    return [r for triple in _spectra(state, cuts) for r in _reports(*triple)]
 
 
 def negativity_oracle(state: State, cut: BipartiteCut) -> NegativityReport:
@@ -423,6 +467,17 @@ def _chain_negativity(g1: float, g2: float, g3: float) -> float:
 _CLUSTER_FORMULA_QUBITS = 3
 
 
+def _cluster_formula(g: np.ndarray, cut: BipartiteCut) -> float:
+    """``cluster_negativity_formula`` at the per-qubit gammas ``g`` on a
+    checked cut of a chain of at most ``_CLUSTER_FORMULA_QUBITS``: one term
+    per crossing edge, plus the chain term on the middle cut."""
+    crossing = np.flatnonzero(_crossing_edges([cut], cut.n_qubits)[0])
+    terms = [_edge_negativity(g[i], g[i + 1]) for i in crossing]
+    if crossing.size == 2:
+        terms.append(_chain_negativity(g[0], g[1], g[2]))
+    return max(*terms, 0.0)
+
+
 def cluster_negativity_formula(agg: AggregateDephasing, cut: BipartiteCut) -> float:
     """Closed-form negativity of a dephased linear cluster state (2 or 3 qubits).
 
@@ -434,17 +489,11 @@ def cluster_negativity_formula(agg: AggregateDephasing, cut: BipartiteCut) -> fl
     the two readings agree.
     """
     n = _check_cuts([cut], agg.n_qubits)[0].n_qubits
-    g = agg.gamma
-    if n <= _CLUSTER_FORMULA_QUBITS:
-        # one term per crossing edge, plus the chain term on the middle cut
-        crossing = np.flatnonzero(_crossing_edges([cut], n)[0])
-        terms = [_edge_negativity(g[i], g[i + 1]) for i in crossing]
-        if crossing.size == 2:
-            terms.append(_chain_negativity(g[0], g[1], g[2]))
-        return max(*terms, 0.0)
-    raise FormulaUnavailableError(
-        f"no closed-form cluster negativity for {n} qubits; use negativity_oracle"
-    )
+    if n > _CLUSTER_FORMULA_QUBITS:
+        raise FormulaUnavailableError(
+            f"no closed-form cluster negativity for {n} qubits; use negativity_oracle"
+        )
+    return _cluster_formula(agg.gamma, cut)
 
 
 def distillability_check(state: State) -> DistillabilityVerdict:

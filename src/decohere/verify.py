@@ -34,7 +34,14 @@ from .channel import (
     schedule_aggregate,
 )
 from .linalg import DensityMatrix, _qubit_view, partial_trace, partial_transpose
-from .negativity import BipartiteCut, _reports, _spectra, enumerate_cuts, negativity_reports
+from .negativity import (
+    BipartiteCut,
+    _reports,
+    _spectra,
+    _w_gram_spectrum,
+    enumerate_cuts,
+    negativity_reports,
+)
 from .states import Family, StateFamily, make_cluster, make_ghz, make_state, make_w, to_density
 
 
@@ -155,8 +162,8 @@ def check_pt_spectrum_range(max_n: int, rng: np.random.Generator) -> PropertyRes
             rho = random_density(rng, n)
             if np.linalg.norm(rho.mat) <= 0.5:
                 continue
-            for _, spectra in _spectra(rho, enumerate_cuts(n)):
-                worst = max(worst, float(-0.5 - spectra.min()), float(spectra.max() - 1.0))
+            for _, values, _ in _spectra(rho, enumerate_cuts(n)):
+                worst = max(worst, float(-0.5 - values.min()), float(values.max() - 1.0))
     return PropertyResult("pt_spectrum_range", worst <= 1e-9, worst, 1e-9)
 
 
@@ -369,6 +376,11 @@ def check_cluster_vs_ghz_ordering(max_n: int, rng: np.random.Generator) -> Prope
 # --------------------------------------------------------------------------
 
 
+def _with_zeros(values: np.ndarray, left_out: int) -> np.ndarray:
+    """The rows of ``values``, each followed by ``left_out`` zeros."""
+    return np.hstack([values, np.zeros((len(values), left_out))])
+
+
 def check_structured_vs_dense(
     kind: Family, max_n: int, rng: np.random.Generator
 ) -> PropertyResult:
@@ -382,9 +394,11 @@ def check_structured_vs_dense(
     kind of draw with one random qubit at gamma = 0, which empties PT rows
     and columns. Phases reach the dense side only, so agreement also shows
     that they never move the spectrum. Each side's reports are ``_reports``
-    of its ``_spectra`` rows, exactly what ``negativity_reports`` returns,
-    so each cut is eigensolved once and each aggregate takes one batched
-    kernel call per block.
+    of its ``_spectra`` triples, exactly what ``negativity_reports``
+    returns, so each cut is eigensolved once and each aggregate takes one
+    batched kernel call per block. The spectra are compared in full: each
+    row gets its left-out zeros written in, and a W row its Gram
+    eigenvalues (``_w_gram_spectrum``), which no report reads.
     """
     worst = 0.0
     for n in range(2, max_n + 1):
@@ -395,13 +409,19 @@ def check_structured_vs_dense(
         gamma[rng.integers(n)] = 0.0
         cuts = enumerate_cuts(n)
         for agg in (live, AggregateDephasing(gamma, dead.phase)):
+            triples = [
+                list(_spectra(state, cuts)) for state in ((family, agg), apply_dephasing(pure, agg))
+            ]
             fast, dense = (
-                np.concatenate([spectra for _, spectra in _spectra(state, cuts)])
-                for state in ((family, agg), apply_dephasing(pure, agg))
+                np.concatenate([_with_zeros(values, left_out) for _, values, left_out in side])
+                for side in triples
             )
+            if kind is Family.W:
+                fast[:, -n:] = _w_gram_spectrum(agg.gamma, cuts)  # in place of n zeros
             spread = np.abs(np.sort(fast) - np.sort(dense)).max()
             worst = max(worst, spread, -0.5 - dense.min(), dense.max() - 1.0)
-            for a, b in zip(_reports(cuts, fast), _reports(cuts, dense)):
+            reports = ([r for triple in side for r in _reports(*triple)] for side in triples)
+            for a, b in zip(*reports):
                 worst = max(
                     worst,
                     abs(a.min_eigenvalue - b.min_eigenvalue),

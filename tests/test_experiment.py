@@ -415,6 +415,32 @@ class TestNoDensityMatrix:
         assert len(run_sweep(parse_config(sweep))) == 14
 
 
+class TestRowPathWork:
+    def test_w_sweep_makes_no_eigensolve(self, monkeypatch):
+        # the W rows read -arrow/n and its count of zeros, no Gram block
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(args))
+        rows = run_sweep(load_config(GOLDEN / "w5_lambda.yaml"))
+        assert len(rows) == 4 * 15
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cluster_formula_rows_check_each_cut_once(self, n, monkeypatch):
+        # negativity_reports checks the point's cuts; the formula reuses them
+        checked = []
+        check = negativity._check_cuts
+
+        def spy(cuts, n_qubits):
+            cuts = check(cuts, n_qubits)
+            checked.extend(cuts)
+            return cuts
+
+        monkeypatch.setattr(negativity, "_check_cuts", spy)
+        rows = run_single(parse_config(base_config(family="cluster", n_qubits=n)))
+        assert [row.formula_value is not None for row in rows] == [True] * len(rows)
+        assert checked == [row.cut for row in rows]
+
+
 class TestBlockedKernelCalls:
     """``_point_rows`` reads all cuts of a point from one kernel call per
     block of ``_BLOCK_VALUES >> n`` rows."""

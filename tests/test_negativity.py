@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -249,6 +250,23 @@ def alternating_cut(n):
     return BipartiteCut(n, sum(1 << q for q in range(0, n, 2)))
 
 
+def padded(values, left_out):
+    """One spectrum's ``values`` followed by the ``left_out`` zeros it does
+    not store."""
+    return np.concatenate([values, np.zeros(left_out)])
+
+
+def full_structured(kind, gamma, cuts):
+    """Every PT eigenvalue of each cut by the structured route, a (k, 2^n)
+    array: the ``_SPECTRA`` values, for W the Gram eigenvalues in place of
+    n zeros, then the other zeros left out."""
+    values, left_out = _SPECTRA[kind](gamma, cuts)
+    full = np.hstack([values, np.zeros((len(cuts), left_out))])
+    if kind is Family.W:
+        full[:, -gamma.size :] = negativity._w_gram_spectrum(gamma, cuts)
+    return full
+
+
 def reference_solve_stacked(held, dim):
     """``_solve_stacked`` by the route the one-row padding replaced: each
     spectrum concatenated with zeros, then sorted into a new array; a list."""
@@ -279,22 +297,25 @@ def brute_run_lengths(cut):
     return tuple(sorted(runs + [length] if length else runs))
 
 
-def reference_report(eigs):
-    """``(min_eigenvalue, negativity_sum)`` of one spectrum by the per-row
-    route ``_reports`` replaced: sort, mask below ``PSD_FLOOR``, sum the mask."""
-    eigs = np.sort(eigs)
+def reference_report(eigs, left_out=0):
+    """``(min_eigenvalue, negativity_sum)`` of one spectrum, less the
+    ``left_out`` zeros it does not store, by the per-row route ``_reports``
+    replaced: pad with the zeros, sort, mask below ``PSD_FLOOR``, sum the
+    mask. A zero minimum reads 0.0, never -0.0."""
+    eigs = np.sort(padded(eigs, left_out))
     negatives = eigs[eigs < PSD_FLOOR]
-    return float(eigs[0]), float(-negatives.sum()) if negatives.size else 0.0
+    return float(eigs[0]) + 0.0, float(-negatives.sum()) if negatives.size else 0.0
 
 
 def dense_spectra(rho, cuts):
-    """``_dense_spectra`` of every cut, in order, each spectrum once sorted
-    bit for bit the reference route's."""
-    pairs = list(_dense_spectra(rho, cuts))
-    assert [cut for cut, _ in pairs] == list(cuts)
-    for cut, eigs in pairs:
+    """``_dense_spectra`` of every cut, in order, each padded with the zeros
+    it leaves out: once sorted, bit for bit the reference route's."""
+    triples = list(_dense_spectra(rho, cuts))
+    assert [cut for cut, _, _ in triples] == list(cuts)
+    spectra = [padded(values, left_out) for _, values, left_out in triples]
+    for cut, eigs in zip(cuts, spectra):
         assert np.sort(eigs).tobytes() == reference_pt_spectrum(rho, cut).tobytes(), cut.human()
-    return [eigs for _, eigs in pairs]
+    return spectra
 
 
 class TestBipartiteCut:
@@ -619,7 +640,7 @@ class TestGHZFormula:
         rho = apply_dephasing(to_density(make_ghz(n)), agg)
         cuts = enumerate_cuts(n)
         return [
-            [eigs for _, spectra in negativity._spectra(state, cuts) for eigs in spectra]
+            [eigs for _, values, _ in negativity._spectra(state, cuts) for eigs in values]
             for state in (rho, (StateFamily(Family.GHZ, n), agg))
         ]
 
@@ -801,18 +822,18 @@ class TestDistillability:
         dense = negativity._dense_spectra
 
         def record(state, cuts):
-            for cut, eigs in dense(state, cuts):
-                solved.append((cut, eigs.min()))
-                yield cut, eigs
+            for cut, values, left_out in dense(state, cuts):
+                solved.append((cut, padded(values, left_out).min()))
+                yield cut, values, left_out
 
         monkeypatch.setattr(negativity, "_dense_spectra", record)
         verdict = distillability_check(rho)
         cuts = enumerate_cuts(n)
         assert [cut for cut, _ in solved] == cuts
         structured = {
-            cut: spectrum.min()
-            for block, spectra in negativity._spectra((family, agg), cuts)
-            for cut, spectrum in zip(block, spectra)
+            cut: padded(values, left_out).min()
+            for block, spectra, left_out in negativity._spectra((family, agg), cuts)
+            for cut, values in zip(block, spectra)
         }
         for cut, smallest in solved:
             assert abs(smallest - structured[cut]) <= 1e-12, cut.human()
@@ -876,7 +897,7 @@ class TestStructuredMatchesDense:
         rho = apply_dephasing(to_density(make_state(family)), agg)
         for cut, dense in zip(cuts, dense_spectra(rho, cuts)):
             full = np.linalg.eigvalsh(partial_transpose(rho, cut.cli_bitmask))
-            structured = _SPECTRA[family.kind](agg.gamma, [cut])[0]
+            [structured] = full_structured(family.kind, agg.gamma, [cut])
             report = negativity_oracle((family, agg), cut)
             assert_matches_full(structured, report, full, ("structured", cut.human()))
             report = negativity_oracle(rho, cut)
@@ -923,7 +944,8 @@ def _ghz_without_gamma1(gamma, cuts):
 
 def _w_prefactor_n_minus_1(gamma, cuts):
     n = gamma.size
-    return negativity._w_spectrum(gamma, cuts) * n / (n - 1)
+    values, left_out = negativity._w_spectrum(gamma, cuts)
+    return values * n / (n - 1), left_out
 
 
 def _cluster_sign_on_kept_edges(gamma, cuts):
@@ -955,6 +977,15 @@ def test_verify_fails_a_mutated_structured_spectrum(monkeypatch, kind, mutant):
     assert failed == [f"{kind.value}_structured_vs_dense"]
 
 
+def test_verify_fails_a_mutated_w_gram_spectrum(monkeypatch):
+    """No report reads the W Gram eigenvalues, so ``verify`` compares them
+    apart: scaled ones fail the W structured-vs-dense property alone."""
+    gram = verify._w_gram_spectrum
+    monkeypatch.setattr(verify, "_w_gram_spectrum", lambda gamma, cuts: 1.5 * gram(gamma, cuts))
+    failed = [r.name for r in run_suite(max_n=5, seed=7) if not r.passed]
+    assert failed == ["w_structured_vs_dense"]
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_pt_spectrum_bounded_by_frobenius_norm(n):
     """A PT permutes entries, so no PT eigenvalue exceeds ||rho||_F in
@@ -974,9 +1005,9 @@ def test_pt_spectrum_range_still_eigensolves(monkeypatch):
     solved = []
 
     def spy(rho, cuts):
-        for block, spectra in negativity._spectra(rho, cuts):
+        for block, values, left_out in negativity._spectra(rho, cuts):
             solved.extend([rho.n_qubits] * len(block))
-            yield block, spectra
+            yield block, values, left_out
 
     monkeypatch.setattr(verify, "_spectra", spy)
     result = verify.check_pt_spectrum_range(5, np.random.default_rng([7, 2]))
@@ -991,7 +1022,9 @@ def test_verify_gates_the_family_pt_range(monkeypatch):
     monkeypatch.setattr(
         verify,
         "_spectra",
-        lambda state, cuts: ((block, 3.0 * rows) for block, rows in spectra(state, cuts)),
+        lambda state, cuts: (
+            (block, 3.0 * rows, left_out) for block, rows, left_out in spectra(state, cuts)
+        ),
     )
     failed = [r.name for r in run_suite(max_n=5, seed=7) if not r.passed]
     assert "ghz_structured_vs_dense" in failed
@@ -1072,16 +1105,17 @@ class TestDenseSupport:
 
 
 class TestSolveStacked:
-    """``_solve_stacked`` pads each spectrum by writing it into a zeroed row,
-    left unsorted for ``_reports``: once sorted, the bytes of the
+    """``_solve_stacked`` gives each block's eigenvalues, left unsorted for
+    ``_reports``, and the count of zeros the block leaves out of ``dim``:
+    padded with those zeros and sorted, the bytes of the
     concatenate-and-sort route."""
 
     @staticmethod
     def assert_reference(got, held, dim):
         want = reference_solve_stacked(held, dim)
-        assert [cut for cut, _ in got] == [cut for cut, _ in want]
-        for (cut, a), (_, b) in zip(got, want):
-            assert np.sort(a).tobytes() == b.tobytes(), cut.human()
+        assert [cut for cut, _, _ in got] == [cut for cut, _ in want]
+        for (cut, values, left_out), (_, b) in zip(got, want):
+            assert np.sort(padded(values, left_out)).tobytes() == b.tobytes(), cut.human()
 
     @pytest.mark.parametrize("kind", [*Family, "random"])
     def test_every_round_of_a_dense_state(self, kind, monkeypatch):
@@ -1140,11 +1174,13 @@ class TestStructuredKernels:
         rng = np.random.default_rng([n, 2, list(Family).index(kind)])
         cuts = enumerate_cuts(n)
         for gamma in rng.uniform(0, 1, (3, n)):
-            batched = _SPECTRA[kind](gamma, cuts)
-            assert batched.shape == (len(cuts), 2**n)
+            batched, left_out = _SPECTRA[kind](gamma, cuts)
+            assert left_out >= 0
+            assert batched.shape == (len(cuts), 2**n - left_out)
             for row, cut in enumerate(cuts):
                 single = _SPECTRA[kind](gamma, [cut])
-                assert np.array_equal(batched[row], single[0]), cut.human()
+                assert np.array_equal(batched[row], single[0][0]), cut.human()
+                assert single[1] == left_out
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("kind", list(Family))
@@ -1157,13 +1193,113 @@ class TestStructuredKernels:
         assert got == [negativity_oracle((family, agg), cut) for cut in cuts]
 
 
+def degenerate_gammas(n):
+    """Seeded per-qubit gammas with exact 0s and 1s: one dead qubit among
+    ones (the cuts isolating it have a dead side, the others pairs at gamma
+    = 1), a dead half against a half at 1, and three draws with about a
+    third of the qubits at 0 and a third at 1."""
+    rng = np.random.default_rng([n, 28])
+    dead_qubit = np.ones(n)
+    dead_qubit[rng.integers(n)] = 0.0
+    dead_half = np.zeros(n)
+    dead_half[rng.permutation(n)[: n // 2]] = 1.0
+    draws = []
+    for _ in range(3):
+        gamma = rng.uniform(0, 1, n)
+        gamma[rng.random(n) < 1 / 3] = 0.0
+        gamma[rng.random(n) < 1 / 3] = 1.0
+        draws.append(gamma)
+    return [dead_qubit, dead_half, *draws]
+
+
+class TestDegenerateSpectra:
+    """GHZ and W pairs and their dense states at gammas with exact 0s and
+    1s, every cut: each report is the padded reference of the values and
+    the count of zeros its path leaves out, and a zero minimum is 0.0,
+    never -0.0."""
+
+    @staticmethod
+    def assert_padded_reference(state, cuts):
+        """The reports of ``state`` on ``cuts``, checked against
+        ``reference_report`` of each ``_spectra`` row; returns them."""
+        reports = negativity_reports(state, cuts)
+        rows = [
+            (values, left_out)
+            for _, spectra, left_out in negativity._spectra(state, cuts)
+            for values in spectra
+        ]
+        assert len(rows) == len(reports)
+        for report, (values, left_out) in zip(reports, rows):
+            assert values.size + left_out == 2**report.cut.n_qubits
+            fields = (report.min_eigenvalue, report.negativity_sum)
+            assert list(map(repr, fields)) == list(map(repr, reference_report(values, left_out)))
+            if report.min_eigenvalue == 0.0:
+                assert math.copysign(1.0, report.min_eigenvalue) == 1.0, report.cut.human()
+        return reports
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("kind", [Family.GHZ, Family.W])
+    def test_every_cut(self, kind, n):
+        family, cuts = StateFamily(kind, n), enumerate_cuts(n)
+        pure, zeros = to_density(make_state(family)), 0
+        for gamma in degenerate_gammas(n):
+            agg = AggregateDephasing(gamma, np.zeros(n))
+            fast = self.assert_padded_reference((family, agg), cuts)
+            dense = self.assert_padded_reference(apply_dephasing(pure, agg), cuts)
+            full = full_structured(kind, gamma, cuts)
+            for a, b, eigs in zip(fast, dense, full):
+                # the whole spectrum, W Gram eigenvalues included, has the
+                # same negatives; its minimum differs by a Gram eigenvalue's
+                # rounding where a zero is the report's
+                want_min, want_sum = reference_report(eigs)
+                assert a.negativity_sum == want_sum, a.cut.human()
+                assert abs(a.min_eigenvalue - want_min) <= 1e-15, a.cut.human()
+                assert abs(a.min_eigenvalue - b.min_eigenvalue) <= 1e-12, a.cut.human()
+                assert abs(a.negativity_sum - b.negativity_sum) <= 1e-12, a.cut.human()
+                zeros += a.min_eigenvalue == 0.0
+        assert zeros  # the dead qubit alone is a PPT cut
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_ghz_dead_qubit_reads_positive_zero(self, n):
+        # the padded route read -0.0 at n = 3 and 0.0 at n = 4, by sort order
+        agg = AggregateDephasing(np.array([0.9, 0.0, 0.7, 0.8][:n]), np.zeros(n))
+        minima = structured_minima(Family.GHZ, agg)
+        assert list(map(repr, minima)) == ["0.0"] * len(minima)
+
+
+class TestNoEigensolve:
+    """GHZ and W reports read only the values that can be negative: no
+    ``eigvalsh`` call and no array of 2^n values per cut."""
+
+    @pytest.mark.parametrize("kind, width", [(Family.GHZ, 4), (Family.W, 2)])
+    def test_every_cut_at_the_capacity(self, kind, width, monkeypatch):
+        n = MAX_QUBITS
+        rng = np.random.default_rng([n, 28, width])
+        pair = (StateFamily(kind, n), AggregateDephasing(rng.uniform(0, 1, n), np.zeros(n)))
+        cuts = enumerate_cuts(n)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(args))
+        tracemalloc.start()
+        reports = negativity_reports(pair, cuts)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(reports) == len(cuts) == 2047
+        assert calls == []
+        assert {values.shape[1] for _, values, _ in negativity._spectra(pair, cuts)} == {width}
+        # beyond the reports, less than four rows of 2^n floats at a time
+        # (2^n-value rows took 1.2 MB: a block of 16 and its sorted copy)
+        assert peak - held < 4 * 8 * 2**n
+        assert all(r.npt for r in reports)
+
+
 class TestClusterKernel:
     """``_cluster_spectrum`` runs its transform in autosort order and builds f
     in two reused buffers; every value is the reference kernel's, bit for bit."""
 
     @staticmethod
     def assert_reference(gamma, cuts):
-        got = negativity._cluster_spectrum(gamma, cuts)
+        got, left_out = negativity._cluster_spectrum(gamma, cuts)
+        assert left_out == 0
         assert got.shape == (len(cuts), 2**gamma.size)
         rows = np.repeat(gamma[None, :], len(cuts), axis=0)
         assert got.tobytes() == reference_cluster_spectrum(rows, cuts).tobytes()
@@ -1193,8 +1329,9 @@ class TestClusterKernel:
         cuts = (enumerate_cuts(n) * (rows + 1))[: rows + 1]
         agg = AggregateDephasing(np.random.default_rng([n, 6]).uniform(0, 1, n), np.zeros(n))
         blocks = list(negativity._spectra((StateFamily(Family.CLUSTER, n), agg), cuts))
-        assert [block for block, _ in blocks] == [cuts[:rows], cuts[rows:]]
-        got = np.concatenate([spectra for _, spectra in blocks])
+        assert [block for block, _, _ in blocks] == [cuts[:rows], cuts[rows:]]
+        assert [left_out for _, _, left_out in blocks] == [0, 0]
+        got = np.concatenate([spectra for _, spectra, _ in blocks])
         gamma = np.repeat(agg.gamma[None, :], len(cuts), axis=0)
         assert got.tobytes() == reference_cluster_spectrum(gamma, cuts).tobytes()
 
@@ -1202,26 +1339,28 @@ class TestClusterKernel:
 class TestBlockReports:
     """``_reports`` summarizes a block with one sort; each row's report is
     a one-row ``_reports`` call on that row and the per-row reference, bit
-    for bit."""
+    for bit, with or without zeros left out."""
 
     @staticmethod
     def assert_rows_match(spectra):
         cuts = [BipartiteCut(3, 1)] * len(spectra)
-        got = negativity._reports(cuts, spectra)
-        assert [r.cut for r in got] == cuts
-        for report, row in zip(got, spectra):
-            [single] = negativity._reports(cuts[:1], row[None])
-            fields = [report.min_eigenvalue, report.negativity_sum]
-            assert list(map(repr, fields)) == list(map(repr, reference_report(row)))
-            assert list(map(repr, fields)) == [
-                repr(single.min_eigenvalue), repr(single.negativity_sum)
-            ]
+        for left_out in (0, 1, 5):
+            got = negativity._reports(cuts, spectra, left_out)
+            assert [r.cut for r in got] == cuts
+            for report, row in zip(got, spectra):
+                [single] = negativity._reports(cuts[:1], row[None], left_out)
+                fields = [report.min_eigenvalue, report.negativity_sum]
+                assert list(map(repr, fields)) == list(map(repr, reference_report(row, left_out)))
+                assert list(map(repr, fields)) == [
+                    repr(single.min_eigenvalue), repr(single.negativity_sum)
+                ]
 
     def test_edge_values(self):
         below, noise = 2 * PSD_FLOOR, 0.5 * PSD_FLOOR
         spectra = np.array(
             [
                 [0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0],  # nothing negative
+                [0.5, 0.25, 0.125, 0.0625, 0.5, 0.25, 0.125, 0.0625],  # all positive
                 [0.5, noise, -0.0, 0.0, 0.5, noise, -0.0, 0.0],  # noise only
                 [-0.0, 0.0, -0.0, 0.0, 0.5, 0.5, 0.0, -0.0],  # signed zeros
                 [0.0, -0.0, 0.0, -0.0, 0.5, 0.5, -0.0, 0.0],
@@ -1231,6 +1370,14 @@ class TestBlockReports:
             ]
         )
         self.assert_rows_match(spectra)
+
+    def test_zero_minimum_rule(self):
+        # the row's minimum, or 0.0 where that is >= 0 and zeros were left
+        # out; a zero minimum is +0.0 whichever zero sorts first
+        spectra = np.array([[0.5, 0.25], [-0.0, 0.5], [0.0, -0.0], [-0.0, -0.0], [-0.25, 0.0]])
+        for left_out, want in [(0, [0.25, 0.0, 0.0, 0.0, -0.25]), (2, [0.0, 0.0, 0.0, 0.0, -0.25])]:
+            got = [r.min_eigenvalue for r in negativity._reports([None] * 5, spectra, left_out)]
+            assert list(map(repr, got)) == list(map(repr, want))
 
     @pytest.mark.parametrize("negatives", [1, 2, 7, 8, 9, 31, 200, 1000])
     def test_rows_with_many_negatives(self, negatives):
