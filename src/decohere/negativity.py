@@ -14,12 +14,13 @@ sides' qubits off it.
 
 The oracle is one call, ``negativity_reports(state, cuts)``, which checks
 the state and every cut once (``negativity_oracle`` is its one-cut case).
-It has two paths, chosen by what it is given. Each path gives, per cut, the
-PT eigenvalues it computes and the count of the others, each >= 0, that it
-leaves out: zeros are counted, not stored. A ``DensityMatrix`` gets its partial
-transpose eigensolved only on the indices whose row or column holds a
-nonzero; every other index is an exact zero eigenvalue, so a dephased GHZ
-PT is solved as a 4 x 4 matrix and a W PT as one of size 1 + n + |A||B|.
+It has two paths, chosen by what it is given. Each path gives, per cut,
+the PT eigenvalues it computes and the count of the others, each >= 0,
+that it leaves out: zeros are counted, not stored. A ``DensityMatrix``
+gets its partial transpose eigensolved only on the indices whose row or
+column holds a nonzero; every other index is an exact zero eigenvalue, so
+a dephased GHZ PT is solved as a 4 x 4 matrix and a W PT as one of size
+1 + n + |A||B|.
 One pass over the nonzeros of rho serves every cut: each cut's live
 indices are read through the PT's bit swap, only that block is gathered
 from rho, and blocks of equal size are solved in one stacked ``eigvalsh``

@@ -393,12 +393,14 @@ def check_structured_vs_dense(
     Per n there are two aggregates: random gamma and phases, and the same
     kind of draw with one random qubit at gamma = 0, which empties PT rows
     and columns. Phases reach the dense side only, so agreement also shows
-    that they never move the spectrum. Each side's reports are ``_reports``
-    of its ``_spectra`` triples, exactly what ``negativity_reports``
-    returns, so each cut is eigensolved once and each aggregate takes one
-    batched kernel call per block. The spectra are compared in full: each
-    row gets its left-out zeros written in, and a W row its Gram
-    eigenvalues (``_w_gram_spectrum``), which no report reads.
+    that they never move the spectrum. The spectra are compared in full:
+    each row gets its left-out zeros written in, and a W row its Gram
+    eigenvalues (``_w_gram_spectrum``), which no report reads. The reports
+    are what ``negativity_reports`` returns: ``_reports`` of the structured
+    ``_spectra`` triples, and one ``_reports`` call on the dense rows with
+    their zeros written in, which gives the same floats as one per cut. So
+    each cut is eigensolved once and each aggregate takes one batched
+    kernel call per block.
     """
     worst = 0.0
     for n in range(2, max_n + 1):
@@ -409,19 +411,19 @@ def check_structured_vs_dense(
         gamma[rng.integers(n)] = 0.0
         cuts = enumerate_cuts(n)
         for agg in (live, AggregateDephasing(gamma, dead.phase)):
-            triples = [
+            fast, dense = (
                 list(_spectra(state, cuts)) for state in ((family, agg), apply_dephasing(pure, agg))
-            ]
+            )
+            reports = [r for triple in fast for r in _reports(*triple)]
             fast, dense = (
                 np.concatenate([_with_zeros(values, left_out) for _, values, left_out in side])
-                for side in triples
+                for side in (fast, dense)
             )
             if kind is Family.W:
                 fast[:, -n:] = _w_gram_spectrum(agg.gamma, cuts)  # in place of n zeros
             spread = np.abs(np.sort(fast) - np.sort(dense)).max()
             worst = max(worst, spread, -0.5 - dense.min(), dense.max() - 1.0)
-            reports = ([r for triple in side for r in _reports(*triple)] for side in triples)
-            for a, b in zip(*reports):
+            for a, b in zip(reports, _reports(cuts, dense, 0)):
                 worst = max(
                     worst,
                     abs(a.min_eigenvalue - b.min_eigenvalue),
